@@ -124,7 +124,7 @@ def _cmd_run(args) -> int:
         path = os.path.join(args.out_dir, f"{name}-grid.csv")
         export_grid_csv(ok, path)
         print(f"wrote {path}")
-        return EXIT_OK
+        return EXIT_OK if len(ok) == len(results) else EXIT_RUNTIME
 
     result = run(config)
     print(_summary_line(name, result))

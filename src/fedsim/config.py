@@ -225,6 +225,8 @@ def validate_config(config: ExperimentConfig) -> list[str]:
             )
         if dfs.distance_mode not in ("squared", "plain"):
             problems.append("defense.distance_mode must be 'squared' or 'plain'")
+    if dfs.kind == "roni" and dfs.roni_validation_size < 1:
+        problems.append("defense.roni_validation_size must be >= 1")
     fg = dfs.foolsgold
     if fg.feature_mode not in ("none", "hard", "soft"):
         problems.append("foolsgold.feature_mode must be none, hard or soft")

@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigurationError
-from .metrics import accuracy
+from .metrics import accuracy, predictions
 
 LOGIT_EPS = 1e-5
 
@@ -33,8 +33,8 @@ def fed_average(global_params: np.ndarray, updates: np.ndarray,
     if len(updates) == 0:
         return global_params
     weights = np.asarray(weights, dtype=float)
-    if np.any(weights < 0):
-        raise ConfigurationError("aggregation weights must be non-negative")
+    if not np.all(np.isfinite(weights) & (weights >= 0)):
+        raise ConfigurationError("aggregation weights must be finite and non-negative")
     flat = updates.reshape(len(updates), -1)
     return global_params + (weights @ flat).reshape(global_params.shape)
 
@@ -295,13 +295,12 @@ class RoniDefense:
             self.cumulative = np.zeros(n)
         if len(self.val_y) == 0:
             raise ConfigurationError("RONI requires a non-empty validation set")
-        # The "before" accuracy is shared by every candidate this round.
-        before = accuracy(global_params, self.val_X, self.val_y)
-        scores = np.array([
-            accuracy(global_params + updates[i], self.val_X, self.val_y) - before
-            for i in range(n)
-        ])
-        self.cumulative += scores
+        # Score the global model and every candidate in one stacked GEMM;
+        # row 0 is the "before" model shared by all candidates.
+        models = np.concatenate([global_params[None], global_params + updates])
+        preds = predictions(models, self.val_X)
+        acc = np.mean(preds == self.val_y[:, None], axis=0)
+        self.cumulative += acc[1:] - acc[0]
         flagged = self.cumulative < self.threshold
         weights = np.where(flagged, 0.0, 1.0 / n)
         return fed_average(global_params, updates, weights), flagged

@@ -38,8 +38,9 @@ from .model import zeros_like_model
 
 
 # Dataset construction is deterministic in the spec fields, so repeated runs
-# (grids, seed averaging) share one in-memory copy. All downstream consumers
-# take fancy-indexed copies, never views, so the cache stays pristine.
+# (grids, seed averaging) share one in-memory copy. Its arrays are read-only:
+# some consumers (RONI's validation slice) hold views into them, so a write
+# would otherwise corrupt every later run in the process.
 _DATASET_CACHE: dict[tuple, tuple[datamod.Dataset, datamod.Dataset]] = {}
 
 
@@ -51,6 +52,9 @@ def load_dataset(config: ExperimentConfig) -> tuple[datamod.Dataset, datamod.Dat
     if key in _DATASET_CACHE:
         return _DATASET_CACHE[key]
     result = _load_dataset_uncached(config)
+    for dataset in result:
+        dataset.X.setflags(write=False)
+        dataset.y.setflags(write=False)
     if len(_DATASET_CACHE) > 8:
         _DATASET_CACHE.clear()
     _DATASET_CACHE[key] = result

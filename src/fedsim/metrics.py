@@ -14,8 +14,18 @@ from .errors import MetricError
 
 
 def predictions(params: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """Predicted class of each row of X.
+
+    params is one (C, F) model or a stack (..., C, F) of models; a stack is
+    scored in one GEMM and gives predictions of shape (len(X), ...). Each
+    model's logits are the same row-by-column dot products as in a call with
+    that model alone, and RONI's tests compare the two with exact equality.
+    """
+    *lead, num_classes, num_features = params.shape
+    flat = params.reshape(-1, num_features)
+    logits = X @ np.ascontiguousarray(flat.T)
     # argmax over logits equals argmax over softmax probabilities
-    return np.argmax(X @ np.ascontiguousarray(params.T), axis=-1)
+    return np.argmax(logits.reshape(len(X), *lead, num_classes), axis=-1)
 
 
 def accuracy(params: np.ndarray, X: np.ndarray, y: np.ndarray) -> float:

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from fedsim.cli import EXIT_CONFIG, EXIT_OK, EXIT_USAGE, main
+from fedsim.cli import EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, main
 from fedsim.config import save_config
 from fedsim.presets import CATALOG
 
@@ -124,9 +124,10 @@ class TestRunCommand:
 
 
 class TestGridPreset:
-    def test_grid_runs_and_exports(self, tmp_path, capsys, monkeypatch):
+    @staticmethod
+    def run_small_grid(tmp_path):
         # shrink a grid preset to a fast configuration via overrides
-        code = main([
+        return main([
             "run", "mixed-data-sweep", "--out-dir", str(tmp_path),
             "--override", "total_iterations=2",
             "--override", "dataset.kind=synthetic",
@@ -137,7 +138,28 @@ class TestGridPreset:
             "--override", "attacks.0.target=2",
             "--override", "eval_subsample=50",
         ])
+
+    def test_grid_runs_and_exports(self, tmp_path, capsys, monkeypatch):
+        code = self.run_small_grid(tmp_path)
         assert code == EXIT_OK
         out = capsys.readouterr().out
         assert "poison_fraction=0.2" in out
         assert (tmp_path / "mixed-data-sweep-grid.csv").exists()
+
+    def test_failed_point_exits_runtime(self, tmp_path, capsys, monkeypatch):
+        from fedsim import engine
+        from fedsim.errors import DivergenceError
+        real_run = engine.run
+
+        def run_or_fail(config):
+            if config.attacks[0].poison_fraction == 0.4:
+                raise DivergenceError("injected")
+            return real_run(config)
+
+        monkeypatch.setattr(engine, "run", run_or_fail)
+        assert self.run_small_grid(tmp_path) == EXIT_RUNTIME
+        out = capsys.readouterr().out
+        assert "attacks.0.poison_fraction=0.4: failed (injected)" in out
+        rows = (tmp_path / "mixed-data-sweep-grid.csv").read_text()
+        assert "poison_fraction=0.2" in rows
+        assert "poison_fraction=0.4" not in rows

@@ -144,6 +144,12 @@ class TestValidate:
         cfg = config_from_dict(data)
         assert any("data_dir" in p for p in validate_config(cfg))
 
+    @pytest.mark.parametrize("size", [0, -9990])
+    def test_roni_validation_size_positive(self, size):
+        cfg = tiny_config(defense=DefenseSpec(kind="roni",
+                                              roni_validation_size=size))
+        assert any("roni_validation_size" in p for p in validate_config(cfg))
+
     def test_kappa_positive(self):
         cfg = tiny_config(defense=DefenseSpec(
             kind="foolsgold", foolsgold=DefenseConfig(kappa=0.0)))

@@ -50,6 +50,11 @@ class TestFedAverage:
         with pytest.raises(ConfigurationError):
             fed_average(np.zeros((1, 2)), np.ones((1, 1, 2)), np.array([-0.1]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_weights_rejected(self, bad):
+        with pytest.raises(ConfigurationError, match="finite"):
+            fed_average(np.zeros((1, 2)), np.ones((2, 1, 2)), np.array([0.5, bad]))
+
 
 class TestFeatureImportance:
     def test_none_mode_all_ones(self, rng):
@@ -462,6 +467,29 @@ class TestRoni:
         first = roni.cumulative.copy()
         roni.aggregate(np.stack([np.zeros((2, 4)), bad]), w)
         assert roni.cumulative[1] <= first[1]
+
+    @pytest.mark.parametrize("case", ["tied_logits", "zero_model", "one_candidate"])
+    def test_cumulative_matches_per_candidate_accuracy(self, case):
+        # The stacked scorer must equal, exactly, one accuracy call per
+        # candidate against the shared "before" model, summed over rounds.
+        from fedsim.metrics import accuracy
+        rng = np.random.default_rng(7)
+        n = 1 if case == "one_candidate" else 6
+        X = rng.normal(size=(300, 5))
+        if case == "tied_logits":
+            X = rng.integers(-1, 2, size=(300, 5)).astype(float)
+        y = rng.integers(0, 3, size=300)
+        w = np.zeros((3, 5))
+        if case != "zero_model":
+            w = rng.integers(-1, 2, size=(3, 5)).astype(float)
+        roni = RoniDefense(X, y)
+        want = np.zeros(n)
+        for _ in range(2):
+            updates = rng.integers(-1, 2, size=(n, 3, 5)).astype(float)
+            before = accuracy(w, X, y)
+            want += np.array([accuracy(w + u, X, y) - before for u in updates])
+            w, _ = roni.aggregate(updates, w)
+        assert np.array_equal(roni.cumulative, want)
 
     def test_empty_validation_set(self):
         roni = RoniDefense(np.zeros((0, 4)), np.zeros(0, dtype=int))

@@ -215,6 +215,17 @@ class TestLoadDataset:
         cfg = tiny_config()
         assert load_dataset(cfg)[0] is load_dataset(cfg)[0]
 
+    def test_cached_arrays_read_only(self):
+        cfg = tiny_config()
+        train, test = load_dataset(cfg)
+        before = [a.copy() for a in (train.X, train.y, test.X, test.y)]
+        for array in (train.X, train.y, test.X, test.y):
+            with pytest.raises(ValueError):
+                array[0] = 0
+        again = load_dataset(cfg)
+        after = (again[0].X, again[0].y, again[1].X, again[1].y)
+        assert all(np.array_equal(a, b) for a, b in zip(before, after))
+
     def test_missing_mnist_errors(self):
         from fedsim.config import DatasetSpec
         cfg = tiny_config(dataset=DatasetSpec(kind="mnist",
