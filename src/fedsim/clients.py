@@ -146,12 +146,11 @@ class AdaptiveSybilCoordinator:
         flat = proposed_updates.reshape(n, -1)
         if self.histories is None:
             self.histories = np.zeros_like(flat)
+        weights = None
         if self.attacker_knows_features:
             weights = feature_importance(
                 global_params, self.feature_mode, self.hard_ratio
             ).ravel()
-        else:
-            weights = np.ones(flat.shape[1])
         cs = similarity_matrix(self.histories, weights)
         v = row_maxima(cs)
         fresh = np.linalg.norm(self.histories, axis=1) == 0.0

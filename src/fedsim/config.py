@@ -196,6 +196,11 @@ def validate_config(config: ExperimentConfig) -> list[str]:
 
     num_sybils = sum(a.num_sybils for a in config.attacks)
     n_total = part.num_honest + num_sybils
+    # num_classes x (features + bias); the MNIST kinds are always 10 x 784
+    if ds.kind == "synthetic":
+        dim = ds.num_classes * (ds.num_features + 1)
+    else:
+        dim = 10 * (784 + 1)
 
     for i, atk in enumerate(config.attacks):
         where = f"attacks[{i}]"
@@ -213,6 +218,9 @@ def validate_config(config: ExperimentConfig) -> list[str]:
             problems.append(f"{where}.poison_fraction must be in [0, 1]")
         if atk.type in ("noise", "adaptive") and atk.num_sybils % 2 != 0:
             problems.append(f"{where}: noise-based attacks need an even sybil count")
+        if atk.type in ("noise", "adaptive") and atk.num_sybils // 2 > dim:
+            problems.append(f"{where}: {atk.num_sybils // 2} orthogonal noise "
+                            f"pairs do not fit the model dimension {dim}")
         if atk.type == "strawman" and atk.num_sybils != 1:
             problems.append(f"{where}: the strawman attack uses exactly one client")
 

@@ -81,18 +81,35 @@ def weighted_cosine(a: np.ndarray, b: np.ndarray, weights: np.ndarray) -> float:
     return float(np.clip(aw @ bw / (na * nb), -1.0, 1.0))
 
 
-def similarity_matrix(histories: np.ndarray, weights: np.ndarray) -> np.ndarray:
+def row_norms(H: np.ndarray) -> np.ndarray:
+    """np.linalg.norm(H, axis=1), 32 rows at a time.
+
+    Each row is still sqrt(add.reduce(h*h)) over the same contiguous row,
+    so the bits match; only a 32-row h*h temporary is ever live.
+    """
+    norms = np.empty(len(H))
+    for start in range(0, len(H), 32):
+        h = H[start:start + 32]
+        np.sqrt(np.add.reduce(h * h, axis=1), out=norms[start:start + 32])
+    return norms
+
+
+def similarity_matrix(histories: np.ndarray,
+                      weights: np.ndarray | None) -> np.ndarray:
     """Pairwise weighted cosine similarities; zero-norm rows score 0.
 
     histories is (n, d) with each row a client's aggregate update vector;
-    weights is a length-d vector broadcast over all rows.
+    weights is a length-d vector broadcast over all rows, or None for unit
+    weights (no weighted copy of the histories is made then).
     """
-    H = histories * weights.ravel()
-    norms = np.linalg.norm(H, axis=1)
-    safe = np.where(norms == 0.0, 1.0, norms)
-    cs = (H @ H.T) / np.outer(safe, safe)
-    cs[norms == 0.0, :] = 0.0
-    cs[:, norms == 0.0] = 0.0
+    H = histories if weights is None else histories * weights.ravel()
+    norms = row_norms(H)
+    zero = norms == 0.0
+    safe = np.where(zero, 1.0, norms)
+    cs = H @ H.T
+    cs /= np.outer(safe, safe)
+    cs[zero, :] = 0.0
+    cs[:, zero] = 0.0
     np.clip(cs, -1.0, 1.0, out=cs)
     # Snap near-unit values so exact duplicates score exactly +-1; the raw
     # rate 1 - max(cs) is later divided by its maximum, which would blow
@@ -121,11 +138,11 @@ def pardon(cs: np.ndarray, v: np.ndarray) -> np.ndarray:
     """
     vi = v[:, None]
     vj = v[None, :]
-    factor = np.where((vj > vi) & (vi >= 0.0) & (cs > 0.0),
-                      vi / np.where(vj > 0.0, vj, 1.0), 1.0)
-    out = cs * factor
-    np.fill_diagonal(out, np.diag(cs))
-    return out
+    rescaled = (vj > vi) & (vi >= 0.0) & (cs > 0.0)
+    # The ratio is taken only where it is applied (there vj > vi >= 0), so
+    # no discarded entry can overflow; elsewhere the factor is exactly 1.
+    factor = np.divide(vi, vj, out=np.ones_like(cs), where=rescaled)
+    return np.multiply(cs, factor, out=factor)
 
 
 def logit_rescale(alpha_raw: np.ndarray, kappa: float = 1.0, *,
@@ -186,14 +203,19 @@ class FoolsGold:
         n = len(updates)
         flat = updates.reshape(n, -1)
         self._ensure_histories(n, flat.shape[1])
-        if active is None:
-            active = np.ones(n, dtype=bool)
+        if active is None or active.all():
+            # Every client is active except under a Multi-Krum pre-filter. A
+            # slice indexes by view, so the history update is in place and
+            # no (n, d) gather is made.
+            active = slice(None)
         self.histories[active] += flat[active]
         basis = self.histories if self.config.enable_history else flat
         basis = basis[active]
-        weights = feature_importance(
-            global_params, self.config.feature_mode, self.config.hard_ratio
-        ).ravel()
+        weights = None
+        if self.config.feature_mode != "none":
+            weights = feature_importance(
+                global_params, self.config.feature_mode, self.config.hard_ratio
+            ).ravel()
         cs = similarity_matrix(basis, weights)
         v = row_maxima(cs)
         if self.config.enable_pardoning:

@@ -210,6 +210,20 @@ def _sybil_round_updates(group: _AttackGroup, proposed: np.ndarray,
     return proposed
 
 
+def _divergence_message(t: int, clients: list, updates: np.ndarray) -> str:
+    """Name the round, the stage and the first client whose update is
+    non-finite; the updates are scanned only once parameters diverged."""
+    finite = np.isfinite(updates.reshape(len(updates), -1)).all(axis=1)
+    if finite.all():
+        where = "in aggregation (every client update was finite)"
+    else:
+        client = clients[int(np.argmin(finite))]
+        where = (f"in the client update stage (client {client.id} sent "
+                 f"a non-finite update)")
+    return (f"non-finite model parameters at round {t} {where}; lower the "
+            f"learning rate or regularization")
+
+
 class _Evaluator:
     """Caches the per-round evaluation subsample and final test matrices."""
 
@@ -286,9 +300,10 @@ def run(config: ExperimentConfig) -> RunResult:
         sybil_slices.append(slice(pos, pos + len(group.clients)))
         pos += len(group.clients)
 
+    # One round buffer for the whole run: no defense keeps a reference to it.
+    updates = np.empty((n,) + params.shape)
     for t in range(T):
         t0 = time.perf_counter()
-        updates = np.empty((n,) + params.shape)
         for i, client in enumerate(clients):
             updates[i] = client.local_update(params)
         for group, sl in zip(groups, sybil_slices):
@@ -322,10 +337,7 @@ def run(config: ExperimentConfig) -> RunResult:
         agg_times[t] = time.perf_counter() - a0
 
         if not np.all(np.isfinite(params)):
-            raise DivergenceError(
-                f"non-finite model parameters at round {t}; lower the learning "
-                f"rate or regularization"
-            )
+            raise DivergenceError(_divergence_message(t, clients, updates))
 
         acc_series[t], rate_series[t] = evaluator.round_metrics(params)
         alpha_series[t] = alphas

@@ -126,6 +126,14 @@ class TestValidate:
         cfg = tiny_config(attacks=[AttackSpec(type="noise", num_sybils=3)])
         assert any("even" in p for p in validate_config(cfg))
 
+    def test_noise_pairs_fit_model_dimension(self):
+        # tiny_config's model is 4 classes x (40 features + bias) = 164
+        for kind in ("noise", "adaptive"):
+            fits = tiny_config(attacks=[tiny_attack(type=kind, num_sybils=328)])
+            assert validate_config(fits) == []
+            too_many = tiny_config(attacks=[tiny_attack(type=kind, num_sybils=330)])
+            assert any("model dimension 164" in p for p in validate_config(too_many))
+
     def test_strawman_single_client(self):
         cfg = tiny_config(attacks=[AttackSpec(type="strawman", num_sybils=2)])
         assert any("one client" in p for p in validate_config(cfg))

@@ -17,6 +17,7 @@ from fedsim.defenses import (
     multikrum_scores,
     pardon,
     row_maxima,
+    row_norms,
     similarity_matrix,
     weighted_cosine,
 )
@@ -135,6 +136,23 @@ class TestSimilarityMatrix:
         cs = similarity_matrix(H, np.ones(4))
         assert np.all(cs[1] == 0.0) and np.all(cs[:, 1] == 0.0)
 
+    def test_no_weights_equals_unit_weights(self, rng):
+        H = rng.normal(size=(40, 23))
+        H[3] = 0.0
+        H[7] = H[5]  # exact duplicates snap to 1
+        assert np.array_equal(similarity_matrix(H, None),
+                              similarity_matrix(H, np.ones(23)))
+
+
+class TestRowNorms:
+    @pytest.mark.parametrize("n", [0, 1, 31, 32, 33, 70])
+    def test_equals_linalg_norm(self, rng, n):
+        # rows span 300 orders of magnitude; one is all zeros
+        H = rng.normal(size=(n, 785)) * 10.0 ** rng.integers(-150, 150, size=(n, 1))
+        if n > 2:
+            H[2] = 0.0
+        assert np.array_equal(row_norms(H), np.linalg.norm(H, axis=1))
+
 
 class TestRowMaxima:
     def test_ignores_diagonal(self):
@@ -187,6 +205,26 @@ class TestPardon:
         v = np.array([-0.5, 0.5])
         out = pardon(cs, v)
         assert out[0, 1] == pytest.approx(-0.5)
+
+    @pytest.mark.filterwarnings("error")
+    def test_unselected_ratio_cannot_overflow(self):
+        # v_0 / v_1 overflows, but entry (0, 1) is never rescaled
+        cs = np.array([[1.0, 0.5], [0.5, 1.0]])
+        out = pardon(cs, np.array([1e300, 1e-300]))
+        assert np.array_equal(out, [[1.0, 0.5], [0.0, 1.0]])
+
+    def test_matches_dense_ratio_formula(self, rng):
+        for _ in range(50):
+            n = int(rng.integers(1, 9))
+            cs = rng.uniform(-1.0, 1.0, size=(n, n))
+            v = rng.choice([-0.3, 0.0, 0.2, 0.5, 0.9], size=n)
+            with np.errstate(all="ignore"):
+                vi, vj = v[:, None], v[None, :]
+                factor = np.where((vj > vi) & (vi >= 0.0) & (cs > 0.0),
+                                  vi / np.where(vj > 0.0, vj, 1.0), 1.0)
+            expected = cs * factor
+            np.fill_diagonal(expected, np.diag(cs))
+            assert np.array_equal(pardon(cs, v), expected)
 
 
 class TestLogitRescale:
@@ -267,7 +305,69 @@ def foolsgold_hand_round(updates, histories, weights, kappa=1.0):
     return np.clip(a, 0.0, 1.0)
 
 
+def masked_gather_round(histories, updates, global_params, config, active=None):
+    """One compute_alphas round as written before the unmasked fast path:
+    masked history update and gather, an explicit feature-weighted copy and
+    np.linalg.norm row norms. Returns (alphas, new histories)."""
+    n = len(updates)
+    flat = updates.reshape(n, -1)
+    if active is None:
+        active = np.ones(n, dtype=bool)
+    histories = histories.copy()
+    histories[active] += flat[active]
+    basis = (histories if config.enable_history else flat)[active]
+    H = basis * feature_importance(global_params, config.feature_mode,
+                                   config.hard_ratio).ravel()
+    norms = np.linalg.norm(H, axis=1)
+    safe = np.where(norms == 0.0, 1.0, norms)
+    cs = (H @ H.T) / np.outer(safe, safe)
+    cs[norms == 0.0, :] = 0.0
+    cs[:, norms == 0.0] = 0.0
+    np.clip(cs, -1.0, 1.0, out=cs)
+    cs[cs > 1.0 - 1e-12] = 1.0
+    cs[cs < -1.0 + 1e-12] = -1.0
+    if config.enable_pardoning:
+        v = row_maxima(cs)
+        vi, vj = v[:, None], v[None, :]
+        with np.errstate(all="ignore"):
+            factor = np.where((vj > vi) & (vi >= 0.0) & (cs > 0.0),
+                              vi / np.where(vj > 0.0, vj, 1.0), 1.0)
+        pardoned = cs * factor
+        np.fill_diagonal(pardoned, np.diag(cs))
+        cs = pardoned
+    active_alphas, _ = logit_rescale(1.0 - row_maxima(cs), config.kappa,
+                                     enable_logit=config.enable_logit)
+    alphas = np.zeros(n)
+    alphas[active] = active_alphas
+    return alphas, histories
+
+
 class TestFoolsGold:
+    @pytest.mark.parametrize("config", [
+        DefenseConfig(),
+        DefenseConfig(feature_mode="soft"),
+        DefenseConfig(feature_mode="hard", hard_ratio=0.4),
+        DefenseConfig(enable_history=False, enable_pardoning=False),
+        DefenseConfig(enable_logit=False, kappa=0.7),
+    ])
+    @pytest.mark.parametrize("mask", ["none", "all", "partial"])
+    def test_matches_masked_gather_round(self, rng, config, mask):
+        n, shape = 40, (3, 9)
+        fg = FoolsGold(config=config)
+        histories = np.zeros((n, 27))
+        for _ in range(4):
+            global_params = rng.normal(size=shape)
+            updates = rng.normal(size=(n,) + shape)
+            updates[5:30] = updates[4]  # cloned sybils
+            updates[30] = 0.0  # a silent client
+            active = {"none": None, "all": np.ones(n, dtype=bool),
+                      "partial": rng.uniform(size=n) < 0.7}[mask]
+            expected, histories = masked_gather_round(
+                histories, updates, global_params, config, active)
+            alphas = fg.compute_alphas(updates, global_params, active)
+            assert np.array_equal(alphas, expected)
+            assert np.array_equal(fg.histories, histories)
+
     def test_identical_sybils_get_zero(self, rng):
         fg = FoolsGold()
         w = np.zeros((2, 4))

@@ -55,6 +55,26 @@ class TestRunBasics:
         with pytest.raises(DivergenceError):
             run(cfg)
 
+    def test_divergence_names_client(self, monkeypatch):
+        from fedsim.clients import Client
+        honest_update = Client.local_update
+
+        def local_update(self, global_params):
+            out = honest_update(self, global_params)
+            return out * np.nan if self.id == 2 else out
+
+        monkeypatch.setattr(Client, "local_update", local_update)
+        with pytest.raises(DivergenceError,
+                           match=r"round 0 in the client update stage \(client 2 "):
+            run(tiny_config(total_iterations=3))
+
+    def test_divergence_in_aggregation(self, monkeypatch):
+        import fedsim.engine as engine
+        monkeypatch.setattr(engine, "fed_average",
+                            lambda params, updates, weights: params + np.inf)
+        with pytest.raises(DivergenceError, match="round 0 in aggregation"):
+            run(tiny_config(total_iterations=3))
+
     def test_roles_recorded(self):
         result = run(tiny_config(total_iterations=1, attacks=[tiny_attack()]))
         roles = result.extras["roles"]
