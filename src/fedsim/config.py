@@ -139,37 +139,36 @@ def save_config(config: ExperimentConfig, path: str) -> None:
         yaml.safe_dump(config.to_dict(), fh, sort_keys=True)
 
 
-def apply_override(data: dict, key: str, raw_value: str) -> None:
-    """Set a dotted-path key (e.g. defense.foolsgold.kappa=0.5) in a config
-    dict, parsing the value as YAML. List items use numeric path segments
-    (attacks.0.num_sybils)."""
-    parts = key.split(".")
+def set_path(data: dict, key: str, value) -> None:
+    """Set a dotted-path key (e.g. defense.foolsgold.kappa) in a config
+    dict. List items use numeric path segments (attacks.0.num_sybils)."""
+    *parents, leaf = key.split(".")
     node = data
-    for part in parts[:-1]:
-        if isinstance(node, list):
-            try:
-                node = node[int(part)]
-            except (ValueError, IndexError):
-                raise ConfigurationError(f"override path {key!r}: bad list index {part!r}")
-        elif isinstance(node, dict):
-            if part not in node:
-                raise ConfigurationError(f"override path {key!r}: unknown field {part!r}")
-            node = node[part]
-        else:
-            raise ConfigurationError(f"override path {key!r}: {part!r} is not nested")
-    leaf = parts[-1]
-    value = yaml.safe_load(raw_value)
+    for part in parents:
+        node = node[_child(node, key, part)]
+    node[_child(node, key, leaf)] = value
+
+
+def _child(node, key: str, part: str):
+    """The list index or dict field that `part` names in a config node."""
     if isinstance(node, list):
         try:
-            node[int(leaf)] = value
+            index = int(part)
+            node[index]
         except (ValueError, IndexError):
-            raise ConfigurationError(f"override path {key!r}: bad list index {leaf!r}")
-    elif isinstance(node, dict):
-        if leaf not in node:
-            raise ConfigurationError(f"override path {key!r}: unknown field {leaf!r}")
-        node[leaf] = value
-    else:
-        raise ConfigurationError(f"override path {key!r}: cannot assign into scalar")
+            raise ConfigurationError(
+                f"config key {key!r}: bad list index {part!r}") from None
+        return index
+    if not isinstance(node, dict):
+        raise ConfigurationError(f"config key {key!r}: {part!r} is inside a scalar")
+    if part not in node:
+        raise ConfigurationError(f"config key {key!r}: unknown field {part!r}")
+    return part
+
+
+def apply_override(data: dict, key: str, raw_value: str) -> None:
+    """`set_path` with the value parsed as YAML (a KEY=VALUE override)."""
+    set_path(data, key, yaml.safe_load(raw_value))
 
 
 def validate_config(config: ExperimentConfig) -> list[str]:

@@ -297,13 +297,6 @@ def insert_backdoor(
     return Partition(partition.owner_id, X, y)
 
 
-def apply_trigger(X: np.ndarray, trigger: int, trigger_value: float) -> np.ndarray:
-    """Features-only version of the backdoor transform (for evaluation)."""
-    out = X.copy()
-    out[:, trigger] = trigger_value
-    return out
-
-
 def mix_poison(
     honest: Partition, poisoned: Partition, poison_fraction: float, seed: int = 0
 ) -> Partition:

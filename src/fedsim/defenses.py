@@ -10,7 +10,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigurationError
-from .metrics import accuracy, predictions
+# perfbench/spans.py wraps `accuracy` at this module's name.
+from .metrics import accuracy, predictions  # noqa: F401
 
 LOGIT_EPS = 1e-5
 
@@ -146,8 +147,7 @@ def pardon(cs: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 
 def logit_rescale(alpha_raw: np.ndarray, kappa: float = 1.0, *,
-                  enable_logit: bool = True,
-                  rescale: bool = True) -> tuple[np.ndarray, bool]:
+                  enable_logit: bool = True) -> tuple[np.ndarray, bool]:
     """Turn raw per-client rates into final learning-rate adaptations.
 
     alpha <- alpha / max(alpha); alpha <- kappa * (ln(alpha/(1-alpha)) + 0.5);
@@ -155,16 +155,12 @@ def logit_rescale(alpha_raw: np.ndarray, kappa: float = 1.0, *,
     and 1 map to 0 and 1. Returns (alpha, degenerate) where degenerate is
     True when every raw rate was <= 0 (all clients looked like sybils); all
     rates are then forced to 0.
-
-    `rescale=False` skips the max-normalization step; it exists so the raw
-    logit thresholds can be asserted directly in tests.
     """
     alpha = np.asarray(alpha_raw, dtype=float).copy()
     m = alpha.max() if len(alpha) else 0.0
     if m <= 0.0:
         return np.zeros_like(alpha), True
-    if rescale:
-        alpha = alpha / m
+    alpha = alpha / m
     if enable_logit:
         clamped = np.clip(alpha, LOGIT_EPS, 1.0 - LOGIT_EPS)
         alpha = kappa * (np.log(clamped / (1.0 - clamped)) + 0.5)
@@ -181,7 +177,6 @@ class FoolsGold:
 
     config: DefenseConfig = field(default_factory=DefenseConfig)
     histories: np.ndarray | None = None
-    iteration: int = 0
     degenerate_rounds: int = 0
 
     def _ensure_histories(self, n: int, d: int) -> None:
@@ -236,7 +231,6 @@ class FoolsGold:
         if len(updates) == 0:
             return global_params, np.zeros(0)
         alphas = self.compute_alphas(updates, global_params, active)
-        self.iteration += 1
         # Algorithm applies the adapted rates directly, with no 1/n factor.
         new_params = fed_average(global_params, updates, alphas)
         return new_params, alphas
@@ -267,25 +261,29 @@ def multikrum_scores(updates: np.ndarray, f: int,
     return nearest.sum(axis=1)
 
 
+def multikrum_survivors(updates: np.ndarray, f: int,
+                        distance_mode: str = "squared") -> np.ndarray:
+    """Boolean mask of the updates Multi-Krum keeps: all but the f
+    highest-scoring ones. Ties break by client index (stable argsort)."""
+    mask = np.ones(len(updates), dtype=bool)
+    if f > 0:
+        scores = multikrum_scores(updates, f, distance_mode)
+        mask[np.argsort(-scores, kind="stable")[:f]] = False
+    return mask
+
+
 def multikrum_round(updates: np.ndarray, f: int, global_params: np.ndarray,
                     distance_mode: str = "squared"
                     ) -> tuple[np.ndarray, np.ndarray]:
     """Drop the f highest-scoring updates, average the rest uniformly.
 
-    Returns (new_params, survivor_mask). Ties break by client index
-    (stable argsort).
+    Returns (new_params, alphas); a removed update has alpha 0.
     """
-    n = len(updates)
-    if f == 0:
-        mask = np.ones(n, dtype=bool)
-    else:
-        scores = multikrum_scores(updates, f, distance_mode)
-        removed = np.argsort(-scores, kind="stable")[:f]
-        mask = np.ones(n, dtype=bool)
-        mask[removed] = False
+    mask = multikrum_survivors(updates, f, distance_mode)
+    alphas = np.where(mask, 1.0 / mask.sum(), 0.0)
     survivors = updates[mask]
     weights = np.full(len(survivors), 1.0 / len(survivors))
-    return fed_average(global_params, survivors, weights), mask
+    return fed_average(global_params, survivors, weights), alphas
 
 
 @dataclass
@@ -294,21 +292,13 @@ class RoniDefense:
 
     Each round an update is scored by the validation accuracy change it
     would cause in isolation; clients whose cumulative score drops below
-    the threshold are flagged and excluded from the average.
+    the threshold are flagged and excluded from the average (alpha 0).
     """
 
     val_X: np.ndarray
     val_y: np.ndarray
     threshold: float = 0.0
     cumulative: np.ndarray | None = None
-
-    def score_update(self, candidate_update: np.ndarray,
-                     global_params: np.ndarray) -> float:
-        if len(self.val_y) == 0:
-            raise ConfigurationError("RONI requires a non-empty validation set")
-        before = accuracy(global_params, self.val_X, self.val_y)
-        after = accuracy(global_params + candidate_update, self.val_X, self.val_y)
-        return after - before
 
     def aggregate(self, updates: np.ndarray, global_params: np.ndarray
                   ) -> tuple[np.ndarray, np.ndarray]:
@@ -323,6 +313,5 @@ class RoniDefense:
         preds = predictions(models, self.val_X)
         acc = np.mean(preds == self.val_y[:, None], axis=0)
         self.cumulative += acc[1:] - acc[0]
-        flagged = self.cumulative < self.threshold
-        weights = np.where(flagged, 0.0, 1.0 / n)
-        return fed_average(global_params, updates, weights), flagged
+        weights = np.where(self.cumulative < self.threshold, 0.0, 1.0 / n)
+        return fed_average(global_params, updates, weights), weights

@@ -21,11 +21,13 @@ from .clients import (
     client_rng,
     irrelevant_feature_mask,
     make_noise_basis,
+    noisy_sybil_update,
 )
-from .config import AttackSpec, ExperimentConfig, config_from_dict, validate_config
-from .defenses import (DefenseConfig, FoolsGold, RoniDefense, fed_average,
-                       multikrum_round, multikrum_scores)
-from .errors import ConfigurationError, DivergenceError
+from .config import (AttackSpec, DefenseSpec, ExperimentConfig, config_from_dict,
+                     set_path, validate_config)
+from .defenses import (FoolsGold, RoniDefense, fed_average, multikrum_round,
+                       multikrum_survivors)
+from .errors import ConfigurationError, DivergenceError, FedsimError
 from .metrics import (
     RunResult,
     accuracy,
@@ -185,11 +187,10 @@ def _sybil_round_updates(group: _AttackGroup, proposed: np.ndarray,
     atk = group.spec
     if atk.type == "noise":
         mask = irrelevant_feature_mask(global_params, atk.noise_indicative_ratio).ravel()
-        out = proposed.copy()
+        out = np.empty_like(proposed)
         for i in range(len(proposed)):
             scale = atk.noise_scale * np.linalg.norm(proposed[i])
-            out[i] = proposed[i] + (mask * group.noise_basis[i]).reshape(
-                proposed[i].shape) * scale
+            out[i] = noisy_sybil_update(proposed[i], group.noise_basis[i] * scale, mask)
         return out
     if atk.type == "adaptive":
         send_poison = group.coordinator.decide(proposed, global_params)
@@ -266,6 +267,35 @@ class _Evaluator:
         ]
 
 
+def _aggregator(spec: DefenseSpec, n: int, test: datamod.Dataset):
+    """The run's aggregation rule `aggregate(updates, params) -> (params,
+    alphas)` and the stateful defense behind it (None for stateless rules).
+
+    Baseline and Multi-Krum call this module's `fed_average` and
+    `multikrum_round` by name, so a wrapper installed there sees each round.
+    """
+    if spec.kind == "baseline":
+        weights = np.full(n, 1.0 / n)
+        return (lambda updates, params:
+                (fed_average(params, updates, weights), weights)), None
+    if spec.kind == "multikrum":
+        return (lambda updates, params: multikrum_round(
+            updates, spec.f, params, spec.distance_mode)), None
+    if spec.kind == "foolsgold":
+        fg = FoolsGold(config=spec.foolsgold)
+        return fg.aggregate, fg
+    if spec.kind == "foolsgold_multikrum":
+        fg = FoolsGold(config=spec.foolsgold)
+        return (lambda updates, params: fg.aggregate(
+            updates, params,
+            active=multikrum_survivors(updates, spec.f, spec.distance_mode))), fg
+    if spec.kind == "roni":
+        k = min(spec.roni_validation_size, len(test))
+        roni = RoniDefense(test.X[:k], test.y[:k], threshold=spec.roni_threshold)
+        return roni.aggregate, roni
+    raise ConfigurationError(f"unknown defense kind {spec.kind!r}")
+
+
 def run(config: ExperimentConfig) -> RunResult:
     """Execute one experiment; deterministic given the config."""
     problems = validate_config(config)
@@ -278,14 +308,7 @@ def run(config: ExperimentConfig) -> RunResult:
     n = len(clients)
     evaluator = _Evaluator(config, test)
 
-    defense = config.defense
-    fg = None
-    roni = None
-    if defense.kind in ("foolsgold", "foolsgold_multikrum"):
-        fg = FoolsGold(config=DefenseConfig(**vars(defense.foolsgold)))
-    if defense.kind == "roni":
-        k = min(defense.roni_validation_size, len(test))
-        roni = RoniDefense(test.X[:k], test.y[:k], threshold=defense.roni_threshold)
+    aggregate, defense = _aggregator(config.defense, n, test)
 
     T = config.total_iterations
     acc_series = np.zeros(T)
@@ -310,30 +333,7 @@ def run(config: ExperimentConfig) -> RunResult:
             updates[sl] = _sybil_round_updates(group, updates[sl], params)
 
         a0 = time.perf_counter()
-        if defense.kind == "baseline":
-            weights = np.full(n, 1.0 / n)
-            params = fed_average(params, updates, weights)
-            alphas = weights
-        elif defense.kind == "foolsgold":
-            params, alphas = fg.aggregate(updates, params)
-        elif defense.kind == "multikrum":
-            params, mask = multikrum_round(updates, defense.f, params,
-                                           defense.distance_mode)
-            alphas = np.where(mask, 1.0 / mask.sum(), 0.0)
-        elif defense.kind == "foolsgold_multikrum":
-            if defense.f > 0:
-                scores = multikrum_scores(updates, defense.f, defense.distance_mode)
-                removed = np.argsort(-scores, kind="stable")[:defense.f]
-                mask = np.ones(n, dtype=bool)
-                mask[removed] = False
-            else:
-                mask = np.ones(n, dtype=bool)
-            params, alphas = fg.aggregate(updates, params, active=mask)
-        elif defense.kind == "roni":
-            params, flagged = roni.aggregate(updates, params)
-            alphas = np.where(flagged, 0.0, 1.0 / n)
-        else:
-            raise ConfigurationError(f"unknown defense kind {defense.kind!r}")
+        params, alphas = aggregate(updates, params)
         agg_times[t] = time.perf_counter() - a0
 
         if not np.all(np.isfinite(params)):
@@ -349,11 +349,11 @@ def run(config: ExperimentConfig) -> RunResult:
         "attack_rates": final_rates,
         "roles": [c.role for c in clients],
     }
-    if fg is not None:
-        extras["degenerate_rounds"] = fg.degenerate_rounds
-        extras["histories"] = fg.histories
-    if roni is not None:
-        extras["roni_cumulative"] = roni.cumulative
+    if isinstance(defense, FoolsGold):
+        extras["degenerate_rounds"] = defense.degenerate_rounds
+        extras["histories"] = defense.histories
+    elif isinstance(defense, RoniDefense):
+        extras["roni_cumulative"] = defense.cumulative
     for group in groups:
         if group.coordinator is not None:
             extras["poison_frequency"] = group.coordinator.poison_frequency
@@ -375,26 +375,13 @@ def run(config: ExperimentConfig) -> RunResult:
     )
 
 
-def _set_path(data: dict, dotted: str, value) -> None:
-    parts = dotted.split(".")
-    node = data
-    for part in parts[:-1]:
-        node = node[int(part)] if isinstance(node, list) else node[part]
-    leaf = parts[-1]
-    if isinstance(node, list):
-        node[int(leaf)] = value
-    else:
-        if leaf not in node:
-            raise ConfigurationError(f"sweep key {dotted!r}: unknown field {leaf!r}")
-        node[leaf] = value
-
-
 def run_grid(base_config: ExperimentConfig, sweep: dict[str, list],
              derive_seeds: bool = True) -> dict[str, RunResult | Exception]:
     """Cartesian-product runs over dotted config keys.
 
-    Results are keyed by 'key=value;...' strings. A failing run stores its
-    exception under its key; the rest of the grid continues.
+    Results are keyed by 'key=value;...' strings. A run that fails with a
+    FedsimError stores it under its key and the rest of the grid continues;
+    any other exception is a programming error and propagates.
     """
     keys = list(sweep)
     results: dict[str, RunResult | Exception] = {}
@@ -405,7 +392,7 @@ def run_grid(base_config: ExperimentConfig, sweep: dict[str, list],
         try:
             data = base_config.to_dict()
             for key, value in zip(keys, combo):
-                _set_path(data, key, value)
+                set_path(data, key, value)
             if derive_seeds and "seed" not in keys:
                 data["seed"] = int(
                     np.random.SeedSequence(
@@ -413,7 +400,7 @@ def run_grid(base_config: ExperimentConfig, sweep: dict[str, list],
                     % (2**31)
                 )
             results[run_key] = run(config_from_dict(data))
-        except Exception as exc:  # noqa: BLE001 - per-run isolation is the contract
+        except FedsimError as exc:
             results[run_key] = exc
     return results
 
@@ -428,7 +415,7 @@ def measure_overhead(config: ExperimentConfig, client_counts,
     rng = np.random.default_rng(np.random.SeedSequence([config.seed, 61]))
     rows = []
     for count in client_counts:
-        fg = FoolsGold(config=DefenseConfig(**vars(config.defense.foolsgold)))
+        fg = FoolsGold(config=config.defense.foolsgold)
         params = zeros_like_model(*dim)
         base_params = params.copy()
         fg_times = []

@@ -73,15 +73,6 @@ def attack_rate_backdoor(params: np.ndarray, X: np.ndarray, y: np.ndarray,
 
 
 @dataclass
-class MetricSnapshot:
-    iteration: int
-    accuracy: float
-    attack_rate: float
-    alphas: np.ndarray
-    round_time: float
-
-
-@dataclass
 class RunResult:
     """Per-round series plus the final model and full-test-set metrics."""
 
@@ -112,22 +103,8 @@ def _fmt(x: float) -> str:
 
 
 def export_series_csv(result: RunResult, path: str, run_key: str = "") -> None:
-    """One row per iteration; per-client alpha columns follow the metrics.
-
-    Wall-clock timing is deliberately left out so that repeated runs of the
-    same seed produce byte-identical files; timing lives in the summary.
-    """
-    n_clients = result.alpha_series.shape[1] if result.alpha_series.size else 0
-    header = ["run", "iteration", "accuracy", "attack_rate"]
-    header += [f"alpha_{i}" for i in range(n_clients)]
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for t in range(result.num_rounds):
-            row = [run_key, t, _fmt(result.accuracy_series[t]),
-                   _fmt(result.attack_rate_series[t])]
-            row += [_fmt(a) for a in result.alpha_series[t]]
-            writer.writerow(row)
+    """One run's series in the grid layout (see `export_grid_csv`)."""
+    export_grid_csv({run_key: result}, path)
 
 
 def export_summary(result: RunResult, path: str, run_key: str = "") -> None:
@@ -153,7 +130,12 @@ def export_summary(result: RunResult, path: str, run_key: str = "") -> None:
 
 
 def export_grid_csv(results: dict[str, RunResult], path: str) -> None:
-    """Grid export: rows keyed by grid coordinates, one row per iteration."""
+    """Grid export: rows keyed by grid coordinates, one row per iteration;
+    per-client alpha columns follow the metrics.
+
+    Wall-clock timing is deliberately left out so that repeated runs of the
+    same seed produce byte-identical files; timing lives in the summary.
+    """
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         wrote_header = False

@@ -332,14 +332,12 @@ def test_criterion_14_property_suites(report, tmp_path):
     checks.append(("alpha-invariants", alpha_ok))
     checks.append(("duplicate-alpha-zero", dup_ok))
 
-    # Logit boundary values at kappa = 1 on the unrescaled path.
+    # Logit boundary values at kappa = 1 on unscaled rates: a leading 1.0
+    # is the row maximum, so every rate below it is divided by exactly 1.
     alpha_mid = np.exp(-0.5) / (1.0 + np.exp(-0.5))  # similarity 0.62246
-    lo = logit_rescale(np.array([1.0 - 0.62246, 0.5]), kappa=1.0,
-                       rescale=False)[0][0]
-    hi = logit_rescale(np.array([1.0 - 0.37754, 0.5]), kappa=1.0,
-                       rescale=False)[0][0]
-    zero = logit_rescale(np.array([alpha_mid, 0.5]), kappa=1.0,
-                         rescale=False)[0][0]
+    lo = logit_rescale(np.array([1.0, 1.0 - 0.62246, 0.5]), kappa=1.0)[0][1]
+    hi = logit_rescale(np.array([1.0, 1.0 - 0.37754, 0.5]), kappa=1.0)[0][1]
+    zero = logit_rescale(np.array([1.0, alpha_mid, 0.5]), kappa=1.0)[0][1]
     checks.append(("logit-boundaries",
                    lo <= 1e-4 and hi >= 1.0 - 1e-4 and abs(zero) <= 1e-4))
 

@@ -243,18 +243,20 @@ class TestLogitRescale:
 
     def test_lower_boundary_value(self):
         # alpha = e^-0.5 / (1 + e^-0.5): the centered logit crosses zero
+        # A leading 1.0 is the row maximum, so a / max == a exactly.
         a = np.exp(-0.5) / (1 + np.exp(-0.5))
-        alphas, _ = logit_rescale(np.array([a]), rescale=False)
-        assert alphas[0] == pytest.approx(0.0, abs=1e-4)
+        alphas, _ = logit_rescale(np.array([1.0, a]))
+        assert alphas[1] == pytest.approx(0.0, abs=1e-4)
 
     def test_appendix_thresholds_unrescaled(self):
         # max similarity 0.62246 -> raw rate 0.37754 -> pre-clip logit <= 0
-        low, _ = logit_rescale(np.array([1 - 0.62246]), rescale=False)
-        assert low[0] <= 1e-4
+        # (a leading 1.0 row maximum leaves the raw rates unscaled)
+        low, _ = logit_rescale(np.array([1.0, 1 - 0.62246]))
+        assert low[1] <= 1e-4
         # max similarity 0.37754 -> raw rate 0.62246 -> pre-clip logit >= 1
-        high, _ = logit_rescale(np.array([1 - 0.37754]), rescale=False)
-        assert high[0] >= 1.0 - 1e-4
-        assert high[0] == 1.0  # after clipping
+        high, _ = logit_rescale(np.array([1.0, 1 - 0.37754]))
+        assert high[1] >= 1.0 - 1e-4
+        assert high[1] == 1.0  # after clipping
 
     def test_degenerate_all_nonpositive(self):
         alphas, degenerate = logit_rescale(np.array([0.0, -0.2]))
@@ -271,10 +273,10 @@ class TestLogitRescale:
         assert np.allclose(alphas, [0.5, 1.0])
 
     def test_kappa_scales_confidence(self):
-        a = np.array([0.6])
-        k1, _ = logit_rescale(a, kappa=1.0, rescale=False)
-        k2, _ = logit_rescale(a, kappa=2.0, rescale=False)
-        assert k2[0] >= k1[0]
+        a = np.array([1.0, 0.6])
+        k1, _ = logit_rescale(a, kappa=1.0)
+        k2, _ = logit_rescale(a, kappa=2.0)
+        assert k2[1] >= k1[1]
 
     def test_eps_guard_value(self):
         assert LOGIT_EPS == pytest.approx(1e-5)
@@ -484,15 +486,15 @@ def multikrum_oracle(updates, f, distance_mode):
 class TestMultiKrum:
     def test_outlier_removed(self):
         updates = np.array([[0.0], [0.0], [0.0], [10.0]]).reshape(4, 1, 1)
-        new, mask = multikrum_round(updates, 1, np.zeros((1, 1)))
-        assert list(mask) == [True, True, True, False]
+        new, alphas = multikrum_round(updates, 1, np.zeros((1, 1)))
+        assert list(alphas > 0) == [True, True, True, False]
         assert np.allclose(new, 0.0)
 
     def test_f_zero_plain_average(self, rng):
         w = rng.normal(size=(2, 3))
         updates = rng.normal(size=(5, 2, 3))
-        new, mask = multikrum_round(updates, 0, w)
-        assert np.all(mask)
+        new, alphas = multikrum_round(updates, 0, w)
+        assert np.all(alphas == 1 / 5)
         assert np.allclose(new, w + updates.mean(axis=0))
 
     def test_oracle_equivalence_fuzzed(self, rng):
@@ -519,8 +521,8 @@ class TestMultiKrum:
         w = np.zeros((1, 2))
         updates = np.concatenate([rng.normal(scale=0.01, size=(4, 1, 2)),
                                   np.full((1, 1, 2), 50.0)])
-        new, mask = multikrum_round(updates, 1, w)
-        assert not mask[4]
+        new, alphas = multikrum_round(updates, 1, w)
+        assert alphas[4] == 0.0
         assert np.allclose(new, updates[:4].mean(axis=0))
 
 
@@ -535,7 +537,8 @@ class TestRoni:
     def test_zero_update_zero_score(self):
         roni = RoniDefense(self.X, self.y)
         w = np.random.default_rng(1).normal(size=(2, 4))
-        assert roni.score_update(np.zeros((2, 4)), w) == 0.0
+        roni.aggregate(np.zeros((1, 2, 4)), w)
+        assert roni.cumulative[0] == 0.0
 
     def test_score_is_accuracy_delta(self):
         roni = RoniDefense(self.X, self.y)
@@ -543,7 +546,8 @@ class TestRoni:
         w = np.zeros((2, 4))
         delta = np.random.default_rng(2).normal(size=(2, 4))
         want = accuracy(w + delta, self.X, self.y) - accuracy(w, self.X, self.y)
-        assert roni.score_update(delta, w) == pytest.approx(want)
+        roni.aggregate(delta[None], w)
+        assert roni.cumulative[0] == pytest.approx(want)
 
     def test_flagged_clients_excluded(self):
         roni = RoniDefense(self.X, self.y, threshold=0.0)
@@ -553,9 +557,9 @@ class TestRoni:
         bad[1, :] = 10.0
         good = np.zeros((2, 4))
         updates = np.stack([good, bad])
-        new, flagged = roni.aggregate(updates, w)
-        assert flagged[1]
-        assert not flagged[0]
+        new, alphas = roni.aggregate(updates, w)
+        assert alphas[1] == 0.0  # flagged
+        assert alphas[0] == 0.5
         assert np.allclose(new, w + good / 2)
 
     def test_cumulative_across_rounds(self):

@@ -52,7 +52,8 @@ class TestRunBasics:
         cfg = tiny_config(total_iterations=200,
                           sgd=SgdConfig(local_learning_rate=1e6,
                                         regularization=1.0))
-        with pytest.raises(DivergenceError):
+        with (pytest.raises(DivergenceError),
+              pytest.warns(RuntimeWarning, match="overflow")):
             run(cfg)
 
     def test_divergence_names_client(self, monkeypatch):
@@ -212,6 +213,24 @@ class TestRunGrid:
         base = tiny_config(total_iterations=1)
         results = run_grid(base, {"no_such_field": [1]})
         assert isinstance(results["no_such_field=1"], Exception)
+
+    def test_unknown_nested_sweep_key(self):
+        base = tiny_config(total_iterations=1)
+        results = run_grid(base, {"defense.nope.kappa": [1]})
+        assert isinstance(results["defense.nope.kappa=1"], ConfigurationError)
+
+    def test_programming_error_propagates(self, monkeypatch):
+        from fedsim import engine
+        real_run = engine.run
+
+        def run_or_fail(config):
+            if config.total_iterations == 2:
+                raise TypeError("injected")
+            return real_run(config)
+
+        monkeypatch.setattr(engine, "run", run_or_fail)
+        with pytest.raises(TypeError, match="injected"):
+            run_grid(tiny_config(), {"total_iterations": [1, 2]})
 
 
 class TestMeasureOverhead:
