@@ -43,7 +43,6 @@ from .defenses import (
     multikrum_scores,
     pardon,
     similarity_matrix,
-    weighted_cosine,
 )
 from .engine import load_dataset, measure_overhead, run, run_grid
 from .errors import (
@@ -61,7 +60,7 @@ from .metrics import (
     attack_rate_labelflip,
     per_class_error,
 )
-from .model import gradient, predict, regularized_loss, sgd_step, softmax_forward
+from .model import gradient, predict, sgd_step, softmax_forward
 from .presets import CATALOG, get_preset
 
 __version__ = "0.1.0"

@@ -5,6 +5,7 @@ single-adversary strawman.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -26,10 +27,11 @@ class SgdConfig:
     local_iterations: int = 1  # 1 = FEDSGD, >1 = FEDAVG
 
     def validate(self) -> None:
-        if self.local_learning_rate < 0:
-            raise ConfigurationError("learning rate must be non-negative")
-        if self.regularization < 0:
-            raise ConfigurationError("regularization must be non-negative")
+        for name in ("local_learning_rate", "regularization"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0):
+                raise ConfigurationError(
+                    f"sgd.{name} must be finite and non-negative, got {value}")
         if self.batch_size < 1 or self.local_iterations < 1:
             raise ConfigurationError("batch size and local iterations must be >= 1")
 

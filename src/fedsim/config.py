@@ -168,7 +168,12 @@ def _child(node, key: str, part: str):
 
 def apply_override(data: dict, key: str, raw_value: str) -> None:
     """`set_path` with the value parsed as YAML (a KEY=VALUE override)."""
-    set_path(data, key, yaml.safe_load(raw_value))
+    try:
+        value = yaml.safe_load(raw_value)
+    except yaml.YAMLError:
+        raise ConfigurationError(
+            f"config key {key!r}: value {raw_value!r} is not valid YAML") from None
+    set_path(data, key, value)
 
 
 def validate_config(config: ExperimentConfig) -> list[str]:
@@ -226,6 +231,8 @@ def validate_config(config: ExperimentConfig) -> list[str]:
     if dfs.kind not in DEFENSE_KINDS:
         problems.append(f"defense.kind must be one of {DEFENSE_KINDS}, got {dfs.kind!r}")
     if dfs.kind in ("multikrum", "foolsgold_multikrum"):
+        if dfs.f < 0:
+            problems.append(f"defense.f must be >= 0, got {dfs.f}")
         if n_total < dfs.f + 3:
             problems.append(
                 f"multikrum needs n >= f + 3 (n={n_total}, f={dfs.f})"

@@ -1,14 +1,15 @@
 """Dataset loading, synthesis, client partitioning and poisoning transforms.
 
-All loaders append a constant-1 bias column, so `num_features` is always
-one more than the raw feature count on disk.
+Every loader writes its rows once, into one preallocated float64 buffer
+whose last column is a constant-1 bias, so `num_features` is always one
+more than the raw feature count on disk.
 """
 
 from __future__ import annotations
 
 import os
 import struct
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -51,8 +52,12 @@ class Partition:
         return len(self.y)
 
 
-def _append_bias(X: np.ndarray) -> np.ndarray:
-    return np.hstack([X, np.ones((len(X), 1), dtype=X.dtype)])
+def _with_bias(rows: int, num_features: int) -> np.ndarray:
+    """An uninitialized (rows, num_features + 1) float64 buffer whose last
+    column, the bias, is already 1.0; loaders write the features in place."""
+    X = np.empty((rows, num_features + 1))
+    X[:, -1] = 1.0
+    return X
 
 
 def _read_be_u32(f, path: str) -> int:
@@ -103,30 +108,13 @@ def load_idx(images_path: str, labels_path: str, name: str = "") -> Dataset:
             f"image count {count} != label count {label_count}", offset=4
         )
 
-    X = _append_bias(images.astype(np.float64) / 255.0)
+    X = _with_bias(count, rows * cols)
+    np.divide(images, 255.0, out=X[:, :-1])
     y = labels.astype(np.int64)
     num_classes = int(y.max()) + 1 if len(y) else 0
     ds = Dataset(X=X, y=y, num_classes=num_classes, name=name or "idx")
     ds.validate()
     return ds
-
-
-def write_idx(dataset: Dataset, images_path: str, labels_path: str) -> None:
-    """Write a dataset as an IDX pair (inverse of load_idx).
-
-    The bias column is dropped and features are quantized to uint8, so a
-    round trip only preserves values on the 1/255 grid.
-    """
-    raw = dataset.X[:, :-1]
-    pixels = np.clip(np.round(raw * 255.0), 0, 255).astype(np.uint8)
-    n, f = pixels.shape
-    # Store as n x f x 1 "images"; load_idx flattens rows*cols anyway.
-    with open(images_path, "wb") as fh:
-        fh.write(struct.pack(">IIII", IDX_IMAGE_MAGIC, n, f, 1))
-        fh.write(pixels.tobytes())
-    with open(labels_path, "wb") as fh:
-        fh.write(struct.pack(">II", IDX_LABEL_MAGIC, n))
-        fh.write(dataset.y.astype(np.uint8).tobytes())
 
 
 def synthesize(
@@ -159,21 +147,21 @@ def synthesize(
     active = num_features - dead_features
     n_on = max(1, int(round(active * centroid_sparsity)))
 
-    blocks = []
-    labels = []
-    for c, count in enumerate(counts):
+    X = _with_bias(sum(counts), num_features)
+    start = 0
+    for count in counts:
         centroid = np.zeros(num_features)
         on = rng.choice(active, size=n_on, replace=False)
         centroid[on] = rng.uniform(0.35, 0.95, size=n_on)
-        block = centroid + rng.normal(0.0, noise_scale, size=(count, num_features))
+        block = X[start:start + count, :-1]
+        start += count
+        np.add(centroid, rng.normal(0.0, noise_scale, size=(count, num_features)),
+               out=block)
         if dead_features:
             block[:, active:] = np.abs(rng.normal(0.0, 0.01, size=(count, dead_features)))
         np.clip(block, 0.0, 1.0, out=block)
-        blocks.append(block)
-        labels.append(np.full(count, c, dtype=np.int64))
 
-    X = _append_bias(np.vstack(blocks))
-    y = np.concatenate(labels)
+    y = np.repeat(np.arange(num_classes, dtype=np.int64), counts)
     order = rng.permutation(len(y))
     return Dataset(X=X[order], y=y[order], num_classes=num_classes, name=name)
 

@@ -71,17 +71,6 @@ def feature_importance(global_params: np.ndarray, mode: str,
     raise ConfigurationError(f"unknown feature importance mode {mode!r}")
 
 
-def weighted_cosine(a: np.ndarray, b: np.ndarray, weights: np.ndarray) -> float:
-    """Cosine of the feature-weighted vectors; 0 if either has zero norm."""
-    aw = (a * weights).ravel()
-    bw = (b * weights).ravel()
-    na = np.linalg.norm(aw)
-    nb = np.linalg.norm(bw)
-    if na == 0.0 or nb == 0.0:
-        return 0.0
-    return float(np.clip(aw @ bw / (na * nb), -1.0, 1.0))
-
-
 def row_norms(H: np.ndarray) -> np.ndarray:
     """np.linalg.norm(H, axis=1), 32 rows at a time.
 

@@ -213,7 +213,7 @@ def _sybil_round_updates(group: _AttackGroup, proposed: np.ndarray,
 
 def _divergence_message(t: int, clients: list, updates: np.ndarray) -> str:
     """Name the round, the stage and the first client whose update is
-    non-finite; the updates are scanned only once parameters diverged."""
+    non-finite; the updates are scanned only once a check has failed."""
     finite = np.isfinite(updates.reshape(len(updates), -1)).all(axis=1)
     if finite.all():
         where = "in aggregation (every client update was finite)"
@@ -331,6 +331,10 @@ def run(config: ExperimentConfig) -> RunResult:
             updates[i] = client.local_update(params)
         for group, sl in zip(groups, sybil_slices):
             updates[sl] = _sybil_round_updates(group, updates[sl], params)
+        # Before any defense sees them: a non-finite update would otherwise
+        # reach its scores (or be dropped by them) without a trace.
+        if not np.isfinite(updates).all():
+            raise DivergenceError(_divergence_message(t, clients, updates))
 
         a0 = time.perf_counter()
         params, alphas = aggregate(updates, params)

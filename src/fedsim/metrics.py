@@ -154,8 +154,3 @@ def export_grid_csv(results: dict[str, RunResult], path: str) -> None:
                 writer.writerow(row)
         if not wrote_header:
             writer.writerow(["run", "iteration", "accuracy", "attack_rate"])
-
-
-def export_history_matrix(histories: np.ndarray, path: str) -> None:
-    """Numeric clients-x-parameters dump of aggregate update vectors."""
-    np.savetxt(path, histories, delimiter=",", fmt="%.8g")

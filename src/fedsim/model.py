@@ -45,18 +45,6 @@ def predict(params: np.ndarray, features: np.ndarray) -> int | np.ndarray:
     return int(idx) if idx.ndim == 0 else idx
 
 
-def regularized_loss(
-    params: np.ndarray, X: np.ndarray, y: np.ndarray, regularization: float
-) -> float:
-    """Mean cross-entropy over the batch plus (lambda/2)*||w||^2."""
-    if len(y) == 0:
-        raise InvalidArgumentError("loss requires a non-empty batch")
-    probs = softmax_forward(params, X)
-    eps = 1e-12
-    nll = -np.log(probs[np.arange(len(y)), y] + eps).mean()
-    return float(nll + 0.5 * regularization * np.sum(params * params))
-
-
 def gradient(
     params: np.ndarray, X: np.ndarray, y: np.ndarray, regularization: float
 ) -> np.ndarray:

@@ -22,8 +22,9 @@ from fedsim.defenses import (
 )
 from fedsim.engine import measure_overhead, run
 from fedsim.metrics import export_series_csv
-from fedsim.model import gradient, regularized_loss
+from fedsim.model import gradient
 from fedsim.presets import CATALOG
+from oracles import regularized_loss
 
 
 pytestmark = pytest.mark.acceptance

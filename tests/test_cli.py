@@ -122,6 +122,31 @@ class TestRunCommand:
         path = write_tiny(tmp_path, partitioning=PartitionSpec(num_honest=0))
         assert main(["run", path, "--out-dir", str(tmp_path)]) == EXIT_CONFIG
 
+    @staticmethod
+    def assert_config_error(tmp_path, capsys, overrides, field):
+        path = write_tiny(tmp_path, attacks=[tiny_attack()])
+        argv = ["run", path, "--out-dir", str(tmp_path)]
+        for item in overrides:
+            argv += ["--override", item]
+        assert main(argv) == EXIT_CONFIG
+        lines = capsys.readouterr().err.splitlines()
+        assert any(line.startswith("config error:") and field in line
+                   for line in lines), lines
+
+    def test_malformed_yaml_override(self, tmp_path, capsys):
+        self.assert_config_error(tmp_path, capsys, ["seed=[1"], "seed")
+
+    def test_negative_multikrum_f(self, tmp_path, capsys):
+        self.assert_config_error(
+            tmp_path, capsys, ["defense.kind=multikrum", "defense.f=-1"],
+            "defense.f")
+
+    @pytest.mark.parametrize("field", ["local_learning_rate", "regularization"])
+    @pytest.mark.parametrize("value", [".nan", ".inf"])
+    def test_non_finite_sgd_rate(self, tmp_path, capsys, field, value):
+        self.assert_config_error(tmp_path, capsys, [f"sgd.{field}={value}"],
+                                 f"sgd.{field}")
+
 
 class TestGridPreset:
     @staticmethod

@@ -1,6 +1,7 @@
 """Data pipeline: IDX parsing, synthesis, partitioning, poison transforms."""
 
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from scipy import stats
 from fedsim.data import (
     IDX_IMAGE_MAGIC,
     IDX_LABEL_MAGIC,
+    MNIST_LIKE_SEED,
     Dataset,
     Partition,
     flip_labels,
@@ -21,9 +23,59 @@ from fedsim.data import (
     sample_class_partition,
     synthesize,
     train_test_split,
-    write_idx,
 )
 from fedsim.errors import ConfigurationError, DataFormatError
+
+from oracles import write_idx
+
+
+def oracle_synthesize(seed, num_classes, num_features, examples_per_class,
+                      name="synthetic", noise_scale=0.08, centroid_sparsity=1.0,
+                      dead_features=0):
+    """The block-per-class form of `synthesize`: each class drawn into its
+    own array, then stacked, given a bias column and shuffled."""
+    counts = list(examples_per_class)
+    rng = np.random.default_rng(np.random.SeedSequence([seed, num_classes, num_features]))
+    active = num_features - dead_features
+    n_on = max(1, int(round(active * centroid_sparsity)))
+    blocks = []
+    labels = []
+    for c, count in enumerate(counts):
+        centroid = np.zeros(num_features)
+        on = rng.choice(active, size=n_on, replace=False)
+        centroid[on] = rng.uniform(0.35, 0.95, size=n_on)
+        block = centroid + rng.normal(0.0, noise_scale, size=(count, num_features))
+        if dead_features:
+            block[:, active:] = np.abs(rng.normal(0.0, 0.01, size=(count, dead_features)))
+        np.clip(block, 0.0, 1.0, out=block)
+        blocks.append(block)
+        labels.append(np.full(count, c, dtype=np.int64))
+    X = np.vstack(blocks)
+    X = np.hstack([X, np.ones((len(X), 1), dtype=X.dtype)])
+    y = np.concatenate(labels)
+    order = rng.permutation(len(y))
+    return Dataset(X=X[order], y=y[order], num_classes=num_classes, name=name)
+
+
+def oracle_idx_features(pixels):
+    """The three-copy `load_idx` conversion: cast, scale, append the bias."""
+    X = pixels.reshape(len(pixels), -1).astype(np.float64) / 255.0
+    return np.hstack([X, np.ones((len(X), 1), dtype=X.dtype)])
+
+
+def peak_ratio(build):
+    """Peak traced allocation while `build()` runs, over the bytes of the
+    arrays it returns."""
+    tracemalloc.start()
+    try:
+        base, _ = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        datasets = build()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    live = sum(ds.X.nbytes + ds.y.nbytes for ds in datasets)
+    return (peak - base) / live
 
 
 def write_fixture(tmp_path, pixels, labels, image_magic=IDX_IMAGE_MAGIC,
@@ -95,6 +147,68 @@ class TestLoadIdx:
         assert np.array_equal(back.y, ds.y)
         # values survive up to uint8 quantization
         assert np.max(np.abs(back.X[:, :-1] - ds.X[:, :-1])) <= 0.5 / 255.0 + 1e-12
+
+
+class TestOneBufferLoaders:
+    """The loaders write each row once into one buffer; the values must be
+    exactly those of the stack-then-append forms they replaced."""
+
+    @pytest.mark.parametrize("kwargs", [
+        dict(num_features=12, examples_per_class=[30, 20, 25]),
+        dict(num_features=12, examples_per_class=[30, 20, 25], dead_features=4),
+        dict(num_features=12, examples_per_class=[30, 20, 25],
+             centroid_sparsity=0.3, dead_features=2),
+        dict(num_features=9, examples_per_class=[200, 1, 7],
+             centroid_sparsity=0.5, noise_scale=0.3),
+        dict(num_features=5, examples_per_class=[1, 1, 1], dead_features=1),
+    ])
+    def test_synthesize_matches_block_oracle(self, kwargs):
+        got = synthesize(seed=11, num_classes=3, **kwargs)
+        want = oracle_synthesize(seed=11, num_classes=3, **kwargs)
+        assert got.X.dtype == want.X.dtype and got.y.dtype == want.y.dtype
+        assert np.array_equal(got.X, want.X)
+        assert np.array_equal(got.y, want.y)
+
+    def test_mnist_like_matches_block_oracle(self):
+        train, test = make_mnist_like()
+        full = oracle_synthesize(seed=MNIST_LIKE_SEED, num_classes=10,
+                                 num_features=784,
+                                 examples_per_class=[2000] * 10,
+                                 noise_scale=0.12, centroid_sparsity=0.15,
+                                 dead_features=196)
+        want_train, want_test = train_test_split(full, 0.5,
+                                                 seed=MNIST_LIKE_SEED + 1)
+        del full
+        assert np.array_equal(train.X, want_train.X)
+        assert np.array_equal(train.y, want_train.y)
+        assert np.array_equal(test.X, want_test.X)
+        assert np.array_equal(test.y, want_test.y)
+
+    def test_load_idx_matches_cast_scale_append(self, tmp_path):
+        values = np.arange(256, dtype=np.uint8)
+        pixels = np.stack([values.reshape(16, 16),
+                           values[::-1].reshape(16, 16)])
+        img, lbl = write_fixture(tmp_path, pixels, [0, 1])
+        ds = load_idx(img, lbl)
+        assert np.array_equal(ds.X, oracle_idx_features(pixels))
+        assert ds.y.dtype == np.int64
+
+    def test_synthesis_peak_memory(self):
+        # Stack-then-append peaked at 3.05x the returned arrays; one buffer
+        # plus the shuffle and split copies peaks near 2.05x.
+        ratio = peak_ratio(lambda: make_mnist_like(train_per_class=100,
+                                                   test_per_class=100))
+        assert ratio <= 2.25
+
+    def test_load_idx_peak_memory(self, tmp_path):
+        # Cast, scale and append made three float64 copies (2.12x); the
+        # buffer plus the raw uint8 bytes come to about 1.13x.
+        pixels = np.random.default_rng(0).integers(
+            0, 256, size=(3000, 28, 28), dtype=np.uint8)
+        img, lbl = write_fixture(tmp_path, pixels, list(range(10)) * 300)
+        del pixels
+        ratio = peak_ratio(lambda: [load_idx(img, lbl)])
+        assert ratio <= 1.3
 
 
 class TestSynthesize:

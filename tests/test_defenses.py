@@ -19,9 +19,10 @@ from fedsim.defenses import (
     row_maxima,
     row_norms,
     similarity_matrix,
-    weighted_cosine,
 )
 from fedsim.errors import ConfigurationError
+
+from oracles import weighted_cosine
 
 
 class TestFedAverage:

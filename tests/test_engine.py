@@ -69,6 +69,25 @@ class TestRunBasics:
                            match=r"round 0 in the client update stage \(client 2 "):
             run(tiny_config(total_iterations=3))
 
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    @pytest.mark.parametrize("kind", ["baseline", "multikrum", "foolsgold",
+                                      "foolsgold_multikrum", "roni"])
+    def test_non_finite_update_stops_before_aggregation(self, monkeypatch,
+                                                        kind, bad):
+        from fedsim.clients import Client
+        honest_update = Client.local_update
+
+        def local_update(self, global_params):
+            out = honest_update(self, global_params)
+            return out + bad if self.id == 2 else out
+
+        monkeypatch.setattr(Client, "local_update", local_update)
+        cfg = tiny_config(total_iterations=3, attacks=[tiny_attack()],
+                          defense=DefenseSpec(kind=kind))
+        with pytest.raises(DivergenceError,
+                           match=r"round 0 in the client update stage \(client 2 "):
+            run(cfg)
+
     def test_divergence_in_aggregation(self, monkeypatch):
         import fedsim.engine as engine
         monkeypatch.setattr(engine, "fed_average",

@@ -12,7 +12,6 @@ from fedsim.metrics import (
     attack_rate_labelflip,
     config_hash,
     export_grid_csv,
-    export_history_matrix,
     export_series_csv,
     export_summary,
     per_class_error,
@@ -20,6 +19,8 @@ from fedsim.metrics import (
 )
 from fedsim.errors import MetricError
 from fedsim.model import predict
+
+from oracles import export_history_matrix
 
 
 def make_result(rng, rounds=3, clients=2):

@@ -7,11 +7,12 @@ from fedsim.errors import ConfigurationError, InvalidArgumentError
 from fedsim.model import (
     gradient,
     predict,
-    regularized_loss,
     sgd_step,
     softmax_forward,
     zeros_like_model,
 )
+
+from oracles import regularized_loss
 
 
 def finite_difference_gradient(params, X, y, lam, h=1e-6):
