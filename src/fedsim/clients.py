@@ -59,7 +59,7 @@ class Client:
     def sample_batch(self) -> tuple[np.ndarray, np.ndarray]:
         # Uniform with replacement, so batch_size may exceed the partition.
         idx = self.rng.integers(0, len(self.partition), size=self.sgd.batch_size)
-        return self.partition.X[idx], self.partition.y[idx]
+        return self.partition.X[self.partition.rows[idx]], self.partition.y[idx]
 
     def local_update(self, global_params: np.ndarray) -> np.ndarray:
         """Run local_iterations SGD steps; return (local final - global)."""

@@ -8,6 +8,8 @@ experiment.
 from __future__ import annotations
 
 import copy
+import math
+import typing
 from dataclasses import asdict, dataclass, field, fields
 
 import yaml
@@ -89,9 +91,26 @@ class ExperimentConfig:
         return copy.deepcopy(self)
 
 
+def _fits(value, hint) -> bool:
+    """Whether a parsed config value matches a field annotation. An int is
+    a float, a bool is not an int, and a float must be finite."""
+    if hint is float:
+        return (isinstance(value, (int, float)) and not isinstance(value, bool)
+                and math.isfinite(value))
+    if hint is int:
+        return isinstance(value, int) and not isinstance(value, bool)
+    args = typing.get_args(hint)
+    if typing.get_origin(hint) is list:
+        return isinstance(value, list) and all(_fits(v, args[0]) for v in value)
+    if args:  # a union such as `int | None`
+        return any(_fits(value, a) for a in args)
+    return isinstance(value, hint)
+
+
 def _build(cls, data: dict, path: str):
     if not isinstance(data, dict):
         raise ConfigurationError(f"{path}: expected a mapping, got {type(data).__name__}")
+    hints = typing.get_type_hints(cls)
     allowed = {f.name: f for f in fields(cls)}
     unknown = set(data) - set(allowed)
     if unknown:
@@ -118,6 +137,11 @@ def _build(cls, data: dict, path: str):
                 _build(AttackSpec, item, f"{sub}[{i}]") for i, item in enumerate(value)
             ]
         else:
+            hint = hints[name]
+            if not _fits(value, hint):
+                expected = ("a finite number" if hint is float else
+                            getattr(hint, "__name__", str(hint)))
+                raise ConfigurationError(f"{sub}: expected {expected}, got {value!r}")
             kwargs[name] = value
     return cls(**kwargs)
 

@@ -2,7 +2,9 @@
 
 Every loader writes its rows once, into one preallocated float64 buffer
 whose last column is a constant-1 bias, so `num_features` is always one
-more than the raw feature count on disk.
+more than the raw feature count on disk. Shuffles and splits reorder that
+buffer in place; train and test are row-range views of it, and a client
+partition is a row-index array into it with its own labels.
 """
 
 from __future__ import annotations
@@ -44,9 +46,18 @@ class Dataset:
 
 @dataclass
 class Partition:
+    """A client's examples: rows `rows` of the shared source `X`, with
+    labels `y` of their own (len(y) == len(rows)). `rows` defaults to every
+    row of `X`."""
+
     owner_id: int
     X: np.ndarray
     y: np.ndarray
+    rows: np.ndarray | None = None
+
+    def __post_init__(self) -> None:
+        if self.rows is None:
+            self.rows = np.arange(len(self.X))
 
     def __len__(self) -> int:
         return len(self.y)
@@ -58,6 +69,27 @@ def _with_bias(rows: int, num_features: int) -> np.ndarray:
     X = np.empty((rows, num_features + 1))
     X[:, -1] = 1.0
     return X
+
+
+def _permute_rows(A: np.ndarray, order: np.ndarray) -> None:
+    """A[:] = A[order] in place for a permutation `order`, following each
+    cycle with one row of scratch instead of a copy of A."""
+    order = order.tolist()
+    done = bytearray(len(order))
+    scratch = np.empty_like(A[0])
+    for start in range(len(order)):
+        if done[start]:
+            continue
+        scratch[...] = A[start]
+        j = start
+        while True:
+            done[j] = 1
+            k = order[j]
+            if k == start:
+                break
+            A[j] = A[k]
+            j = k
+        A[j] = scratch
 
 
 def _read_be_u32(f, path: str) -> int:
@@ -163,21 +195,31 @@ def synthesize(
 
     y = np.repeat(np.arange(num_classes, dtype=np.int64), counts)
     order = rng.permutation(len(y))
-    return Dataset(X=X[order], y=y[order], num_classes=num_classes, name=name)
+    _permute_rows(X, order)
+    return Dataset(X=X, y=y[order], num_classes=num_classes, name=name)
 
 
 def train_test_split(dataset: Dataset, test_fraction: float, seed: int):
-    """Seeded shuffle split; used for synthetic datasets (30% held out)."""
+    """Seeded shuffle split; used for synthetic datasets (30% held out).
+
+    Consumes `dataset`: its rows are shuffled in place, and the returned
+    test and train sets are the leading and trailing row ranges (views) of
+    its arrays. A read-only dataset, such as a cached one, is refused.
+    """
     if not 0.0 < test_fraction < 1.0:
         raise ConfigurationError("test_fraction must be in (0, 1)")
+    if not (dataset.X.flags.writeable and dataset.y.flags.writeable):
+        raise ConfigurationError(
+            "train_test_split reorders its dataset in place; got a read-only one")
     rng = np.random.default_rng(np.random.SeedSequence([seed, 7]))
     order = rng.permutation(len(dataset))
     n_test = int(round(test_fraction * len(dataset)))
-    test_idx, train_idx = order[:n_test], order[n_test:]
-    train = Dataset(dataset.X[train_idx], dataset.y[train_idx],
-                    dataset.num_classes, dataset.name)
-    test = Dataset(dataset.X[test_idx], dataset.y[test_idx],
-                   dataset.num_classes, dataset.name + "-test")
+    _permute_rows(dataset.X, order)
+    dataset.y[:] = dataset.y[order]
+    X, y = dataset.X, dataset.y
+    train = Dataset(X[n_test:], y[n_test:], dataset.num_classes, dataset.name)
+    test = Dataset(X[:n_test], y[:n_test], dataset.num_classes,
+                   dataset.name + "-test")
     return train, test
 
 
@@ -228,7 +270,7 @@ def partition_non_iid(
         if len(idx) == 0:
             raise ConfigurationError(f"client {cid} received an empty partition")
         idx = rng.permutation(idx)
-        partitions.append(Partition(cid, dataset.X[idx], dataset.y[idx]))
+        partitions.append(Partition(cid, dataset.X, dataset.y[idx], idx))
     return partitions
 
 
@@ -251,7 +293,7 @@ def sample_class_partition(
     keep = rng.choice(src_idx, size=n - n_shared, replace=False)
     uniform = rng.choice(len(dataset), size=n_shared, replace=False)
     idx = rng.permutation(np.concatenate([keep, uniform]))
-    return Partition(owner_id, dataset.X[idx], dataset.y[idx])
+    return Partition(owner_id, dataset.X, dataset.y[idx], idx)
 
 
 def flip_labels(partition: Partition, source_class: int, target_class: int) -> Partition:
@@ -260,7 +302,7 @@ def flip_labels(partition: Partition, source_class: int, target_class: int) -> P
         raise ConfigurationError("source and target class must differ")
     y = partition.y.copy()
     y[y == source_class] = target_class
-    return Partition(partition.owner_id, partition.X, y)
+    return Partition(partition.owner_id, partition.X, y, partition.rows)
 
 
 def insert_backdoor(
@@ -272,14 +314,15 @@ def insert_backdoor(
     """Set the trigger feature on every example and relabel everything.
 
     The default trigger is the last raw feature (the bias column is
-    skipped), i.e. the bottom-right pixel for image data.
+    skipped), i.e. the bottom-right pixel for image data. The partition's
+    rows are gathered into a new source, since the trigger is written.
     """
     num_features = partition.X.shape[1]
     if trigger is None:
         trigger = num_features - 2  # last feature before the bias column
     if not 0 <= trigger < num_features:
         raise ConfigurationError(f"trigger index {trigger} out of range")
-    X = partition.X.copy()
+    X = partition.X[partition.rows]
     X[:, trigger] = trigger_value
     y = np.full_like(partition.y, target_class)
     return Partition(partition.owner_id, X, y)
@@ -288,9 +331,14 @@ def insert_backdoor(
 def mix_poison(
     honest: Partition, poisoned: Partition, poison_fraction: float, seed: int = 0
 ) -> Partition:
-    """Blend floor(fraction*n) poisoned examples with honest remainder."""
+    """Blend floor(fraction*n) poisoned examples with honest remainder.
+
+    Both partitions must index the same source array.
+    """
     if not 0.0 <= poison_fraction <= 1.0:
         raise ConfigurationError("poison_fraction must be in [0, 1]")
+    if honest.X is not poisoned.X:
+        raise ConfigurationError("mix_poison needs partitions of one source array")
     rng = np.random.default_rng(np.random.SeedSequence([seed, 17]))
     n = len(honest)
     n_poison = int(np.floor(poison_fraction * n))
@@ -298,10 +346,10 @@ def mix_poison(
         raise ConfigurationError("poisoned partition too small for requested fraction")
     p_idx = rng.choice(len(poisoned), size=n_poison, replace=False)
     h_idx = rng.choice(n, size=n - n_poison, replace=False)
-    X = np.vstack([poisoned.X[p_idx], honest.X[h_idx]])
+    rows = np.concatenate([poisoned.rows[p_idx], honest.rows[h_idx]])
     y = np.concatenate([poisoned.y[p_idx], honest.y[h_idx]])
     order = rng.permutation(n)
-    return Partition(honest.owner_id, X[order], y[order])
+    return Partition(honest.owner_id, honest.X, y[order], rows[order])
 
 
 def default_data_dir() -> str | None:

@@ -235,9 +235,12 @@ def multikrum_scores(updates: np.ndarray, f: int,
         raise ConfigurationError(f"unknown distance mode {distance_mode!r}")
     flat = updates.reshape(n, -1)
     if n * n * flat.shape[1] <= 4_000_000:
-        # direct differences: exact for coincident updates
-        diff = flat[:, None, :] - flat[None, :, :]
-        d2 = np.einsum("ijk,ijk->ij", diff, diff)
+        # direct differences, each pair once (the square of b - a equals
+        # that of a - b bitwise): exact for coincident updates
+        d2 = np.zeros((n, n))
+        for i in range(n - 1):
+            diff = flat[i + 1:] - flat[i]
+            d2[i, i + 1:] = d2[i + 1:, i] = np.einsum("jk,jk->j", diff, diff)
     else:
         # Gram-matrix form: O(n^2 d) via one matmul, small cancellation error
         sq_norms = np.einsum("ij,ij->i", flat, flat)

@@ -41,8 +41,8 @@ from .model import zeros_like_model
 
 # Dataset construction is deterministic in the spec fields, so repeated runs
 # (grids, seed averaging) share one in-memory copy. Its arrays are read-only:
-# some consumers (RONI's validation slice) hold views into them, so a write
-# would otherwise corrupt every later run in the process.
+# client partitions index into them and RONI validates on a view of them, so
+# a write would otherwise corrupt every later run in the process.
 _DATASET_CACHE: dict[tuple, tuple[datamod.Dataset, datamod.Dataset]] = {}
 
 
@@ -106,7 +106,7 @@ def _build_sybil_partition(train: datamod.Dataset, atk: AttackSpec,
         rng = np.random.default_rng(np.random.SeedSequence([seed, 31]))
         size = max(1, len(train) // train.num_classes)
         idx = rng.choice(len(train), size=size, replace=False)
-        subset = datamod.Partition(-1, train.X[idx], train.y[idx])
+        subset = datamod.Partition(-1, train.X, train.y[idx], idx)
         return datamod.insert_backdoor(subset, atk.target, atk.trigger,
                                        atk.trigger_value)
     base = datamod.sample_class_partition(train, atk.source, mix, seed)
@@ -231,13 +231,11 @@ class _Evaluator:
     def __init__(self, config: ExperimentConfig, test: datamod.Dataset):
         self.test = test
         self.attacks = config.attacks
+        self.sub_X, self.sub_y = test.X, test.y
         if config.eval_subsample and config.eval_subsample < len(test):
             rng = np.random.default_rng(np.random.SeedSequence([config.seed, 41]))
             idx = rng.choice(len(test), size=config.eval_subsample, replace=False)
-        else:
-            idx = np.arange(len(test))
-        self.sub_X = test.X[idx]
-        self.sub_y = test.y[idx]
+            self.sub_X, self.sub_y = test.X[idx], test.y[idx]
 
     def _attack_rate(self, params: np.ndarray, X: np.ndarray, y: np.ndarray,
                      atk: AttackSpec) -> float:

@@ -14,8 +14,7 @@ from fedsim.clients import SgdConfig
 from fedsim.data import synthesize, train_test_split
 
 
-@pytest.fixture(scope="session")
-def small_dataset():
+def make_small_dataset():
     """4 well-separated classes, 40 features, 200 examples per class."""
     return synthesize(
         seed=3, num_classes=4, num_features=40,
@@ -24,8 +23,15 @@ def small_dataset():
 
 
 @pytest.fixture(scope="session")
-def small_split(small_dataset):
-    return train_test_split(small_dataset, 0.3, seed=3)
+def small_dataset():
+    return make_small_dataset()
+
+
+@pytest.fixture(scope="session")
+def small_split():
+    # train_test_split reorders its input in place, so the split gets a
+    # dataset of its own instead of the shared `small_dataset`.
+    return train_test_split(make_small_dataset(), 0.3, seed=3)
 
 
 def tiny_config(**kwargs) -> ExperimentConfig:

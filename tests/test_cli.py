@@ -147,6 +147,26 @@ class TestRunCommand:
         self.assert_config_error(tmp_path, capsys, [f"sgd.{field}={value}"],
                                  f"sgd.{field}")
 
+    @pytest.mark.parametrize("override,field", [
+        ("total_iterations=abc", "total_iterations"),
+        ("sgd.local_learning_rate=nan", "sgd.local_learning_rate"),
+        ("sgd.batch_size=2.5", "sgd.batch_size"),
+        ("attacks.0.num_sybils=x", "attacks[0].num_sybils"),
+        ("eval_subsample=null", "eval_subsample"),
+        ("partitioning.num_honest=1.5", "partitioning.num_honest"),
+        ("partitioning.num_honest=true", "partitioning.num_honest"),
+        ("dataset.examples_per_class=5", "dataset.examples_per_class"),
+        ("defense.foolsgold.kappa=.inf", "defense.foolsgold.kappa"),
+    ])
+    def test_value_of_wrong_type(self, tmp_path, capsys, override, field):
+        self.assert_config_error(tmp_path, capsys, [override], field)
+
+    def test_int_accepted_for_float(self, tmp_path):
+        path = write_tiny(tmp_path)
+        assert main(["run", path, "--out-dir", str(tmp_path),
+                     "--override", "total_iterations=1",
+                     "--override", "sgd.local_learning_rate=1"]) == EXIT_OK
+
 
 class TestGridPreset:
     @staticmethod

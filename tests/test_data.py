@@ -26,35 +26,15 @@ from fedsim.data import (
 )
 from fedsim.errors import ConfigurationError, DataFormatError
 
-from oracles import write_idx
-
-
-def oracle_synthesize(seed, num_classes, num_features, examples_per_class,
-                      name="synthetic", noise_scale=0.08, centroid_sparsity=1.0,
-                      dead_features=0):
-    """The block-per-class form of `synthesize`: each class drawn into its
-    own array, then stacked, given a bias column and shuffled."""
-    counts = list(examples_per_class)
-    rng = np.random.default_rng(np.random.SeedSequence([seed, num_classes, num_features]))
-    active = num_features - dead_features
-    n_on = max(1, int(round(active * centroid_sparsity)))
-    blocks = []
-    labels = []
-    for c, count in enumerate(counts):
-        centroid = np.zeros(num_features)
-        on = rng.choice(active, size=n_on, replace=False)
-        centroid[on] = rng.uniform(0.35, 0.95, size=n_on)
-        block = centroid + rng.normal(0.0, noise_scale, size=(count, num_features))
-        if dead_features:
-            block[:, active:] = np.abs(rng.normal(0.0, 0.01, size=(count, dead_features)))
-        np.clip(block, 0.0, 1.0, out=block)
-        blocks.append(block)
-        labels.append(np.full(count, c, dtype=np.int64))
-    X = np.vstack(blocks)
-    X = np.hstack([X, np.ones((len(X), 1), dtype=X.dtype)])
-    y = np.concatenate(labels)
-    order = rng.permutation(len(y))
-    return Dataset(X=X[order], y=y[order], num_classes=num_classes, name=name)
+from conftest import make_small_dataset
+from oracles import (
+    mix_poison_by_gather,
+    partition_non_iid_by_gather,
+    sample_class_partition_by_gather,
+    split_by_gather,
+    synthesize_by_blocks,
+    write_idx,
+)
 
 
 def oracle_idx_features(pixels):
@@ -164,20 +144,20 @@ class TestOneBufferLoaders:
     ])
     def test_synthesize_matches_block_oracle(self, kwargs):
         got = synthesize(seed=11, num_classes=3, **kwargs)
-        want = oracle_synthesize(seed=11, num_classes=3, **kwargs)
+        want = synthesize_by_blocks(seed=11, num_classes=3, **kwargs)
         assert got.X.dtype == want.X.dtype and got.y.dtype == want.y.dtype
         assert np.array_equal(got.X, want.X)
         assert np.array_equal(got.y, want.y)
 
     def test_mnist_like_matches_block_oracle(self):
         train, test = make_mnist_like()
-        full = oracle_synthesize(seed=MNIST_LIKE_SEED, num_classes=10,
-                                 num_features=784,
-                                 examples_per_class=[2000] * 10,
-                                 noise_scale=0.12, centroid_sparsity=0.15,
-                                 dead_features=196)
-        want_train, want_test = train_test_split(full, 0.5,
-                                                 seed=MNIST_LIKE_SEED + 1)
+        full = synthesize_by_blocks(seed=MNIST_LIKE_SEED, num_classes=10,
+                                    num_features=784,
+                                    examples_per_class=[2000] * 10,
+                                    noise_scale=0.12, centroid_sparsity=0.15,
+                                    dead_features=196)
+        want_train, want_test = split_by_gather(full, 0.5,
+                                                seed=MNIST_LIKE_SEED + 1)
         del full
         assert np.array_equal(train.X, want_train.X)
         assert np.array_equal(train.y, want_train.y)
@@ -194,11 +174,16 @@ class TestOneBufferLoaders:
         assert ds.y.dtype == np.int64
 
     def test_synthesis_peak_memory(self):
-        # Stack-then-append peaked at 3.05x the returned arrays; one buffer
-        # plus the shuffle and split copies peaks near 2.05x.
+        # Stack-then-append peaked at 3.05x the returned arrays, and one
+        # buffer with a copying shuffle and split at 2.05x.
         ratio = peak_ratio(lambda: make_mnist_like(train_per_class=100,
                                                    test_per_class=100))
         assert ratio <= 2.25
+
+    def test_mnist_like_peak_memory(self):
+        # The buffer plus one class's noise draw: the shuffle and the split
+        # reorder the buffer in place.
+        assert peak_ratio(make_mnist_like) <= 1.2
 
     def test_load_idx_peak_memory(self, tmp_path):
         # Cast, scale and append made three float64 copies (2.12x); the
@@ -260,14 +245,112 @@ class TestSynthesize:
 
 
 class TestTrainTestSplit:
-    def test_sizes_and_disjoint(self, small_dataset):
-        train, test = train_test_split(small_dataset, 0.3, seed=1)
-        assert len(train) + len(test) == len(small_dataset)
-        assert len(test) == int(round(0.3 * len(small_dataset)))
+    def test_sizes_and_disjoint(self):
+        dataset = make_small_dataset()
+        n = len(dataset)
+        train, test = train_test_split(dataset, 0.3, seed=1)
+        assert len(train) + len(test) == n
+        assert len(test) == int(round(0.3 * n))
 
     def test_invalid_fraction(self, small_dataset):
         with pytest.raises(ConfigurationError):
             train_test_split(small_dataset, 1.0, seed=1)
+
+
+class TestOneBufferLayout:
+    """Train/test are views of one buffer and partitions are row indices
+    into it; every array must equal the copy-per-step oracle's."""
+
+    @pytest.mark.parametrize("fraction", [0.3, 0.5, 0.01])
+    def test_split_matches_gather_oracle(self, fraction):
+        want_train, want_test = split_by_gather(make_small_dataset(), fraction, seed=4)
+        dataset = make_small_dataset()
+        train, test = train_test_split(dataset, fraction, seed=4)
+        for got, want in ((train, want_train), (test, want_test)):
+            assert np.array_equal(got.X, want.X)
+            assert np.array_equal(got.y, want.y)
+            assert got.name == want.name
+        # Disjoint row ranges never overlap, so each is checked against the
+        # one buffer they are views of.
+        for part in (train, test):
+            assert part.X.base is dataset.X and part.y.base is dataset.y
+            assert np.shares_memory(part.X, dataset.X)
+
+    def test_split_refuses_read_only(self):
+        dataset = make_small_dataset()
+        dataset.X.setflags(write=False)
+        before = dataset.y.copy()
+        with pytest.raises(ConfigurationError, match="read-only"):
+            train_test_split(dataset, 0.3, seed=1)
+        assert np.array_equal(dataset.y, before)
+
+    def test_small_dataset_keeps_its_order(self, small_dataset):
+        # Tests that split must build their own dataset: the session
+        # fixture is shared.
+        fresh = make_small_dataset()
+        assert np.array_equal(small_dataset.X, fresh.X)
+        assert np.array_equal(small_dataset.y, fresh.y)
+
+    @staticmethod
+    def assert_same_partition(got, want, source):
+        assert got.owner_id == want.owner_id
+        assert np.array_equal(got.X[got.rows], want.X)
+        assert np.array_equal(got.y, want.y)
+        assert got.X is source
+
+    @pytest.mark.parametrize("clients,mix", [(4, 0.0), (2, 0.0), (4, 0.3), (3, 1.0)])
+    def test_partition_non_iid_matches_gather_oracle(self, small_split, clients, mix):
+        train, _ = small_split
+        got = partition_non_iid(train, clients, mix, seed=6)
+        want = partition_non_iid_by_gather(train, clients, mix, seed=6)
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            self.assert_same_partition(g, w, train.X)
+            assert np.shares_memory(g.X, train.X)
+
+    @pytest.mark.parametrize("mix", [0.0, 0.4, 1.0])
+    def test_sybil_partitions_match_gather_oracle(self, small_split, mix):
+        train, _ = small_split
+        base = sample_class_partition(train, 2, mix, seed=8, owner_id=5)
+        want_base = sample_class_partition_by_gather(train, 2, mix, seed=8, owner_id=5)
+        self.assert_same_partition(base, want_base, train.X)
+        flipped = flip_labels(base, 2, 3)
+        want_flipped = flip_labels(want_base, 2, 3)
+        self.assert_same_partition(flipped, want_flipped, train.X)
+        for fraction in (0.0, 0.35, 1.0):
+            self.assert_same_partition(
+                mix_poison(base, flipped, fraction, seed=9),
+                mix_poison_by_gather(want_base, want_flipped, fraction, seed=9),
+                train.X)
+
+    def test_backdoor_gathers_its_rows(self, small_split):
+        train, _ = small_split
+        idx = np.array([5, 3, 3, 40])
+        out = insert_backdoor(Partition(-1, train.X, train.y[idx], idx), 1)
+        want = insert_backdoor(Partition(-1, train.X[idx], train.y[idx]), 1)
+        assert np.array_equal(out.X, want.X)
+        assert np.array_equal(out.y, want.y)
+        assert np.array_equal(out.rows, np.arange(len(idx)))
+        assert not np.shares_memory(out.X, train.X)
+
+    def test_client_batches_match_gathered_partition(self, small_split):
+        from fedsim.clients import Client, SgdConfig, client_rng
+
+        train, _ = small_split
+        sgd = SgdConfig(batch_size=30)
+        got = partition_non_iid(train, 4, 0.3, seed=2)
+        want = partition_non_iid_by_gather(train, 4, 0.3, seed=2)
+        for g, w in zip(got, want):
+            a = Client(g.owner_id, g, sgd, client_rng(1, g.owner_id))
+            b = Client(w.owner_id, w, sgd, client_rng(1, w.owner_id))
+            for _ in range(3):
+                (Xa, ya), (Xb, yb) = a.sample_batch(), b.sample_batch()
+                assert np.array_equal(Xa, Xb)
+                assert np.array_equal(ya, yb)
+
+    def test_default_rows_cover_the_source(self):
+        p = Partition(0, np.zeros((3, 2)), np.array([0, 1, 2]))
+        assert np.array_equal(p.rows, np.arange(3))
 
 
 class TestPartitionNonIid:
@@ -288,7 +371,7 @@ class TestPartitionNonIid:
         total = sum(len(p) for p in parts)
         assert total == len(small_dataset)
         # disjointness: every example row appears exactly once across clients
-        seen = np.vstack([p.X for p in parts])
+        seen = np.vstack([p.X[p.rows] for p in parts])
         assert seen.shape[0] == len(small_dataset)
         assert np.array_equal(
             np.sort(seen.view([("", seen.dtype)] * seen.shape[1]), axis=0),
@@ -315,7 +398,7 @@ class TestPartitionNonIid:
         a = partition_non_iid(small_dataset, 4, 0.3, seed=5)
         b = partition_non_iid(small_dataset, 4, 0.3, seed=5)
         for pa, pb in zip(a, b):
-            assert np.array_equal(pa.X, pb.X)
+            assert np.array_equal(pa.X[pa.rows], pb.X[pb.rows])
             assert np.array_equal(pa.y, pb.y)
 
     def test_too_many_clients(self, small_dataset):
@@ -383,18 +466,33 @@ class TestPoisonTransforms:
         with pytest.raises(ConfigurationError):
             insert_backdoor(p, 1, trigger=10)
 
+    @staticmethod
+    def zeros_and_ones(n):
+        """An honest partition of n zero rows and a poisoned one of n one
+        rows, both indexing one shared source."""
+        X = np.zeros((2 * n, 2))
+        X[n:] = 1.0
+        honest = Partition(0, X, np.zeros(n, dtype=int), np.arange(n))
+        poisoned = Partition(0, X, np.ones(n, dtype=int), np.arange(n, 2 * n))
+        return honest, poisoned
+
     def test_mix_poison_counts(self):
-        honest = Partition(0, np.zeros((100, 2)), np.zeros(100, dtype=int))
-        poisoned = Partition(0, np.ones((100, 2)), np.ones(100, dtype=int))
+        honest, poisoned = self.zeros_and_ones(100)
         out = mix_poison(honest, poisoned, 0.8, seed=1)
         assert len(out) == 100
         assert int(np.sum(out.y == 1)) == 80
+        assert np.array_equal(out.X[out.rows][:, 0], out.y)
 
     def test_mix_poison_extremes(self):
-        honest = Partition(0, np.zeros((10, 2)), np.zeros(10, dtype=int))
-        poisoned = Partition(0, np.ones((10, 2)), np.ones(10, dtype=int))
+        honest, poisoned = self.zeros_and_ones(10)
         assert np.sum(mix_poison(honest, poisoned, 0.0, seed=1).y) == 0
         assert np.sum(mix_poison(honest, poisoned, 1.0, seed=1).y) == 10
+
+    def test_mix_poison_needs_one_source(self):
+        honest = Partition(0, np.zeros((10, 2)), np.zeros(10, dtype=int))
+        poisoned = Partition(0, np.ones((10, 2)), np.ones(10, dtype=int))
+        with pytest.raises(ConfigurationError, match="source"):
+            mix_poison(honest, poisoned, 0.5, seed=1)
 
     def test_dimension_preserved(self, small_dataset):
         p = sample_class_partition(small_dataset, 0, 0.0, seed=1)

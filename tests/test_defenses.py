@@ -22,7 +22,7 @@ from fedsim.defenses import (
 )
 from fedsim.errors import ConfigurationError
 
-from oracles import weighted_cosine
+from oracles import multikrum_scores_dense, weighted_cosine
 
 
 class TestFedAverage:
@@ -509,6 +509,21 @@ class TestMultiKrum:
                 got = multikrum_scores(updates, f, mode)
                 want = multikrum_oracle(updates, f, mode)
                 assert np.allclose(got, want, atol=1e-9), (n, f, mode)
+
+    def test_pairwise_rows_equal_dense_tensor(self, rng):
+        # Each pair's distance is computed once and mirrored; the scores
+        # must equal the (n, n, d) difference tensor's bit for bit.
+        for _ in range(60):
+            n = int(rng.integers(3, 20))
+            d = int(rng.choice([1, 5, 300, 7850]))
+            scale = 10.0 ** rng.uniform(-6, 2)
+            updates = rng.normal(scale=scale, size=(n, 1, d))
+            a, b = rng.integers(0, n, size=2)
+            updates[a] = updates[b]  # coincident updates
+            f = int(rng.integers(0, n - 2))
+            for mode in ("squared", "plain"):
+                assert np.array_equal(multikrum_scores(updates, f, mode),
+                                      multikrum_scores_dense(updates, f, mode))
 
     def test_too_few_clients(self, rng):
         with pytest.raises(ConfigurationError):

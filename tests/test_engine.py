@@ -284,6 +284,20 @@ class TestLoadDataset:
         after = (again[0].X, again[0].y, again[1].X, again[1].y)
         assert all(np.array_equal(a, b) for a, b in zip(before, after))
 
+    def test_cached_split_is_one_buffer(self):
+        from fedsim.data import train_test_split
+        train, test = load_dataset(tiny_config())
+        assert train.X.base is test.X.base
+        with pytest.raises(ConfigurationError, match="read-only"):
+            train_test_split(train, 0.5, seed=0)
+
+    def test_full_test_set_evaluated_without_copy(self):
+        from fedsim.engine import _Evaluator
+        cfg = tiny_config(eval_subsample=0)
+        _, test = load_dataset(cfg)
+        evaluator = _Evaluator(cfg, test)
+        assert evaluator.sub_X is test.X and evaluator.sub_y is test.y
+
     def test_missing_mnist_errors(self):
         from fedsim.config import DatasetSpec
         cfg = tiny_config(dataset=DatasetSpec(kind="mnist",
