@@ -60,7 +60,7 @@ from .metrics import (
     attack_rate_labelflip,
     per_class_error,
 )
-from .model import gradient, predict, sgd_step, softmax_forward
+from .model import gradient, sgd_step, softmax_forward
 from .presets import CATALOG, get_preset
 
 __version__ = "0.1.0"

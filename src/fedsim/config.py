@@ -15,6 +15,7 @@ from dataclasses import asdict, dataclass, field, fields
 import yaml
 
 from .clients import SgdConfig
+from .data import default_data_dir, mnist_available
 from .defenses import DefenseConfig
 from .errors import ConfigurationError
 
@@ -207,9 +208,32 @@ def validate_config(config: ExperimentConfig) -> list[str]:
 
     if ds.kind not in DATASET_KINDS:
         problems.append(f"dataset.kind must be one of {DATASET_KINDS}, got {ds.kind!r}")
-    if ds.kind == "mnist" and not ds.data_dir:
-        problems.append("dataset.kind=mnist requires dataset.data_dir "
-                        "(or the FEDSIM_DATA_DIR environment variable)")
+    if ds.kind == "mnist" and not mnist_available(ds.data_dir or default_data_dir()):
+        problems.append("dataset.kind=mnist requires the four MNIST IDX files under "
+                        "dataset.data_dir (or the FEDSIM_DATA_DIR environment variable)")
+    # the MNIST kinds are always 10 classes x 784 features
+    num_classes, num_features = 10, 784
+    if ds.kind == "synthetic":
+        num_classes, num_features = ds.num_classes, ds.num_features
+        counts = ds.examples_per_class
+        if num_classes < 1 or num_features < 1:
+            problems.append("dataset.num_classes and dataset.num_features must be >= 1")
+        if counts is not None and len(counts) != num_classes:
+            problems.append("dataset.examples_per_class length must equal num_classes")
+        if counts is not None and any(c < 1 for c in counts):
+            problems.append("dataset.examples_per_class: every class needs an example")
+        if not 0 <= ds.dead_features < num_features:
+            problems.append("dataset.dead_features must be >= 0 and leave an active feature")
+        rows = 1000 * num_classes if counts is None else sum(counts)
+        if not 0 < int(round(ds.test_fraction * rows)) < rows:
+            problems.append("dataset.test_fraction must leave both the train "
+                            "and the test split non-empty")
+        if not 0.0 <= ds.centroid_sparsity <= 1.0:
+            problems.append("dataset.centroid_sparsity must be in [0, 1]")
+        if ds.noise_scale < 0:
+            problems.append("dataset.noise_scale must be >= 0")
+    if config.seed < 0 or ds.seed < 0:
+        problems.append("seed and dataset.seed must be >= 0")
     if config.total_iterations < 0:
         problems.append("total_iterations must be >= 0")
     if config.eval_subsample < 0:
@@ -219,16 +243,12 @@ def validate_config(config: ExperimentConfig) -> list[str]:
         problems.append("at least one honest client is required")
     if not 0.0 <= part.x_honest <= 1.0 or not 0.0 <= part.x_sybil <= 1.0:
         problems.append("mix ratios must be in [0, 1]")
-    if part.x_honest == 0.0 and part.num_honest > ds.num_classes:
+    if part.x_honest == 0.0 and part.num_honest > num_classes:
         problems.append("non-IID partitioning needs num_honest <= num_classes")
 
     num_sybils = sum(a.num_sybils for a in config.attacks)
     n_total = part.num_honest + num_sybils
-    # num_classes x (features + bias); the MNIST kinds are always 10 x 784
-    if ds.kind == "synthetic":
-        dim = ds.num_classes * (ds.num_features + 1)
-    else:
-        dim = 10 * (784 + 1)
+    dim = num_classes * (num_features + 1)  # classes x (features + bias)
 
     for i, atk in enumerate(config.attacks):
         where = f"attacks[{i}]"
@@ -240,8 +260,14 @@ def validate_config(config: ExperimentConfig) -> list[str]:
         if atk.type in ("labelflip", "noise", "adaptive", "strawman"):
             if atk.source == atk.target:
                 problems.append(f"{where}: source and target class must differ")
-            if not (0 <= atk.source < ds.num_classes and 0 <= atk.target < ds.num_classes):
+            if not (0 <= atk.source < num_classes and 0 <= atk.target < num_classes):
                 problems.append(f"{where}: source/target out of class range")
+        if atk.type == "backdoor":
+            if not 0 <= atk.target < num_classes:
+                problems.append(f"{where}: target out of class range")
+            if atk.trigger is not None and not 0 <= atk.trigger <= num_features:
+                problems.append(f"{where}.trigger must be a feature index "
+                                f"in [0, {num_features}]")
         if not 0.0 <= atk.poison_fraction <= 1.0:
             problems.append(f"{where}.poison_fraction must be in [0, 1]")
         if atk.type in ("noise", "adaptive") and atk.num_sybils % 2 != 0:

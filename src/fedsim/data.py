@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, DataFormatError
+from .errors import ConfigurationError, DataFormatError, InvalidArgumentError
 
 IDX_IMAGE_MAGIC = 0x00000803
 IDX_LABEL_MAGIC = 0x00000801
@@ -268,7 +268,8 @@ def partition_non_iid(
     for cid in range(num_clients):
         idx = np.concatenate(owned[cid] + [dealt[cid]]).astype(int)
         if len(idx) == 0:
-            raise ConfigurationError(f"client {cid} received an empty partition")
+            # the drawn split left this client's classes without train rows
+            raise InvalidArgumentError(f"client {cid} received an empty partition")
         idx = rng.permutation(idx)
         partitions.append(Partition(cid, dataset.X, dataset.y[idx], idx))
     return partitions
@@ -284,10 +285,12 @@ def sample_class_partition(
     Draws are independent of the honest partitioning (an attacker brings
     its own data).
     """
+    if not 0 <= source_class < dataset.num_classes:
+        raise ConfigurationError(f"class {source_class} is out of range")
     rng = np.random.default_rng(np.random.SeedSequence([seed, 13, source_class]))
     src_idx = np.flatnonzero(dataset.y == source_class)
     if len(src_idx) == 0:
-        raise ConfigurationError(f"dataset has no examples of class {source_class}")
+        raise InvalidArgumentError(f"dataset has no examples of class {source_class}")
     n = len(src_idx)
     n_shared = int(round(mix * n))
     keep = rng.choice(src_idx, size=n - n_shared, replace=False)

@@ -9,11 +9,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, DivergenceError
 # perfbench/spans.py wraps `accuracy` at this module's name.
 from .metrics import accuracy, predictions  # noqa: F401
 
 LOGIT_EPS = 1e-5
+# Validation rows RONI casts to float32 and scores per GEMM.
+RONI_BLOCK_ROWS = 2048
+F32_MAX = float(np.finfo(np.float32).max)
 
 
 @dataclass
@@ -285,12 +288,29 @@ class RoniDefense:
     Each round an update is scored by the validation accuracy change it
     would cause in isolation; clients whose cumulative score drops below
     the threshold are flagged and excluded from the average (alpha 0).
+
+    Scoring runs in float32: the candidate models are cast once per round,
+    and the validation rows are cast RONI_BLOCK_ROWS at a time into one
+    reused buffer, so no float32 copy of the whole validation set is kept.
+    A candidate large enough to overflow a float32 logit is a divergence.
     """
 
     val_X: np.ndarray
     val_y: np.ndarray
     threshold: float = 0.0
     cumulative: np.ndarray | None = None
+    _block: np.ndarray = field(init=False, repr=False)
+    _max_entry: float = field(init=False, repr=False)
+
+    def __post_init__(self):
+        rows, features = self.val_X.shape
+        self._block = np.empty((min(rows, RONI_BLOCK_ROWS), features), np.float32)
+        # |logit| <= max|w| * features * max|x|; half of float32's range
+        # leaves room for rounding in the accumulation.
+        x_max = max(float(self.val_X.max(initial=0.0)),
+                    -float(self.val_X.min(initial=0.0)))
+        self._max_entry = (F32_MAX / (2.0 * features * x_max)
+                           if x_max > 0.0 else F32_MAX)
 
     def aggregate(self, updates: np.ndarray, global_params: np.ndarray
                   ) -> tuple[np.ndarray, np.ndarray]:
@@ -299,11 +319,25 @@ class RoniDefense:
             self.cumulative = np.zeros(n)
         if len(self.val_y) == 0:
             raise ConfigurationError("RONI requires a non-empty validation set")
-        # Score the global model and every candidate in one stacked GEMM;
-        # row 0 is the "before" model shared by all candidates.
+        # Score the global model and every candidate in one stacked GEMM
+        # per block; row 0 is the "before" model shared by all candidates.
         models = np.concatenate([global_params[None], global_params + updates])
-        preds = predictions(models, self.val_X)
-        acc = np.mean(preds == self.val_y[:, None], axis=0)
+        peaks = np.abs(models).max(axis=(1, 2))
+        if peaks.max() > self._max_entry:
+            i = int(np.argmax(peaks))
+            model = f"client {i - 1}'s candidate" if i else "the global model"
+            raise DivergenceError(
+                f"RONI scoring: {model} has an entry of magnitude "
+                f"{peaks[i]:.3g}, beyond float32 logit range")
+        models = models.astype(np.float32)
+        hits = np.zeros(n + 1, dtype=np.int64)
+        for start in range(0, len(self.val_y), RONI_BLOCK_ROWS):
+            block = self._block[:len(self.val_y) - start]
+            np.copyto(block, self.val_X[start:start + len(block)])
+            preds = predictions(models, block)
+            hits += np.count_nonzero(
+                preds == self.val_y[start:start + len(block), None], axis=0)
+        acc = hits / len(self.val_y)
         self.cumulative += acc[1:] - acc[0]
         weights = np.where(self.cumulative < self.threshold, 0.0, 1.0 / n)
         return fed_average(global_params, updates, weights), weights

@@ -121,8 +121,12 @@ def export_summary(result: RunResult, path: str, run_key: str = "") -> None:
         ],
         "median_round_time_s": (float(np.median(result.round_times))
                                 if result.round_times.size else None),
-        "extras": {k: v for k, v in result.extras.items()
-                   if isinstance(v, (int, float, str, bool, list, dict, type(None)))},
+        # 1-D arrays (RONI scores, aggregation times, poison counts) are
+        # written as lists; larger arrays such as histories are left out.
+        "extras": {k: v.tolist() if isinstance(v, np.ndarray) else v
+                   for k, v in result.extras.items()
+                   if isinstance(v, (int, float, str, bool, list, dict, type(None)))
+                   or isinstance(v, np.ndarray) and v.ndim == 1},
     }
     with open(path, "w") as fh:
         json.dump(summary, fh, indent=2, sort_keys=True)

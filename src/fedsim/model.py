@@ -38,13 +38,6 @@ def softmax_forward(params: np.ndarray, features: np.ndarray) -> np.ndarray:
     return logits
 
 
-def predict(params: np.ndarray, features: np.ndarray) -> int | np.ndarray:
-    """Argmax class; ties break toward the lowest class index."""
-    probs = softmax_forward(params, features)
-    idx = np.argmax(probs, axis=-1)
-    return int(idx) if idx.ndim == 0 else idx
-
-
 def gradient(
     params: np.ndarray, X: np.ndarray, y: np.ndarray, regularization: float
 ) -> np.ndarray:

@@ -1,9 +1,10 @@
 """Reference implementations the tests check fedsim against.
 
 Nothing in `fedsim` calls these: they are straightforward oracles (the
-regularized loss behind the finite-difference gradient checks, a scalar
-weighted cosine, the copy-per-step data pipeline, the dense Multi-Krum
-distance tensor) and fixture writers (an IDX writer, a history dump).
+regularized loss behind the finite-difference gradient checks, a
+softmax-then-argmax prediction, a scalar weighted cosine, the copy-per-step
+data pipeline, the dense Multi-Krum distance tensor) and fixture writers
+(an IDX writer, a history dump).
 """
 
 import struct
@@ -36,6 +37,13 @@ def regularized_loss(
     eps = 1e-12
     nll = -np.log(probs[np.arange(len(y)), y] + eps).mean()
     return float(nll + 0.5 * regularization * np.sum(params * params))
+
+
+def predict(params: np.ndarray, features: np.ndarray) -> int | np.ndarray:
+    """Argmax class; ties break toward the lowest class index."""
+    probs = softmax_forward(params, features)
+    idx = np.argmax(probs, axis=-1)
+    return int(idx) if idx.ndim == 0 else idx
 
 
 def export_history_matrix(histories: np.ndarray, path: str) -> None:

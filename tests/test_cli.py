@@ -1,10 +1,26 @@
 """Command-line interface: subcommands, exit codes, output files."""
 
+import contextlib
+import copy
+import io
+import tempfile
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from fedsim.cli import EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, main
-from fedsim.config import save_config
+from fedsim.config import (
+    ATTACK_TYPES,
+    DATASET_KINDS,
+    DEFENSE_KINDS,
+    apply_override,
+    config_from_dict,
+    save_config,
+    validate_config,
+)
+from fedsim.errors import ConfigurationError
 from fedsim.presets import CATALOG
 
 from conftest import tiny_attack, tiny_config
@@ -208,3 +224,104 @@ class TestGridPreset:
         rows = (tmp_path / "mixed-data-sweep-grid.csv").read_text()
         assert "poison_fraction=0.2" in rows
         assert "poison_fraction=0.4" not in rows
+
+
+class TestSummaryExtras:
+    @staticmethod
+    def run_summary(tmp_path, **kwargs):
+        import json
+        from fedsim.config import load_config
+        from fedsim.engine import run
+        path = write_tiny(tmp_path, total_iterations=4, **kwargs)
+        out = tmp_path / "out"
+        assert main(["run", path, "--out-dir", str(out)]) == EXIT_OK
+        blob = json.loads((out / "tiny-summary.json").read_text())
+        return blob["extras"], run(load_config(path))
+
+    def test_roni_decisions_written(self, tmp_path):
+        from fedsim.config import DefenseSpec
+        extras, result = self.run_summary(
+            tmp_path, attacks=[tiny_attack()],
+            defense=DefenseSpec(kind="roni", roni_validation_size=100))
+        assert extras["roni_cumulative"] == result.extras["roni_cumulative"].tolist()
+        assert len(extras["aggregation_times"]) == 4
+        assert extras["roles"] == result.extras["roles"]
+
+    def test_adaptive_poison_counts_written(self, tmp_path):
+        from fedsim.config import AttackSpec, DefenseSpec
+        extras, result = self.run_summary(
+            tmp_path,
+            attacks=[AttackSpec(type="adaptive", num_sybils=2, source=1,
+                                target=2, threshold=1.0)],
+            defense=DefenseSpec(kind="foolsgold"))
+        assert extras["poison_counts"] == result.extras["poison_counts"].tolist()
+        assert len(extras["poison_counts"]) == 4
+        assert extras["poison_frequency"] == result.extras["poison_frequency"]
+        # 2-D arrays such as the FoolsGold histories stay out of the JSON
+        assert result.extras["histories"].ndim == 2
+        assert "histories" not in extras
+
+
+def _leaf_keys(node, prefix=""):
+    """Every dotted override key of a config dict; list items by index."""
+    items = enumerate(node) if isinstance(node, list) else node.items()
+    for name, value in items:
+        key = f"{prefix}{name}"
+        if isinstance(value, (dict, list)) and value:
+            yield from _leaf_keys(value, key + ".")
+        else:
+            yield key
+
+
+FUZZ_BASE = tiny_config(attacks=[tiny_attack()]).to_dict()
+FUZZ_KEYS = sorted(_leaf_keys(FUZZ_BASE))
+# Integers stay in -3..40 and text has no digits, so no drawn value can ask
+# for a large roster, dataset or run.
+YAML_SCALARS = st.one_of(
+    st.integers(-3, 40).map(str),
+    st.floats(-3.0, 40.0).map(repr),
+    st.sampled_from([".nan", ".inf", "-.inf", "nan", "true", "false", "null",
+                     "~", "", "[1", "{a: 1", "'x", "a: b: c", "[]", "{}",
+                     "- 1"]),
+    st.sampled_from(sorted(set(DATASET_KINDS + DEFENSE_KINDS + ATTACK_TYPES
+                               + ("none", "hard", "soft", "plain")))),
+    st.text(alphabet="abxyz_.-:[]{}'\" ", max_size=6),
+)
+
+
+class TestOverrideFuzz:
+    @settings(max_examples=200, deadline=None)
+    @given(kind=st.sampled_from(DEFENSE_KINDS),
+           overrides=st.lists(st.tuples(st.sampled_from(FUZZ_KEYS), YAML_SCALARS),
+                              min_size=1, max_size=2))
+    # a valid config whose drawn split leaves class 1 without train rows:
+    # a runtime error (exit 4), not a config error
+    @example(kind="baseline", overrides=[("dataset.examples_per_class.1", "1"),
+                                         ("dataset.seed", "5")])
+    def test_any_override_ends_in_an_exit_code(self, kind, overrides):
+        items = [f"defense.kind={kind}"] + [f"{k}={v}" for k, v in overrides]
+        items.append("total_iterations=2")
+        # What `validate` decides, through the same parse and checks
+        data = copy.deepcopy(FUZZ_BASE)
+        try:
+            for item in items:
+                apply_override(data, *item.split("=", 1))
+            rejected = bool(validate_config(config_from_dict(data)))
+        except ConfigurationError:
+            rejected = True
+
+        with tempfile.TemporaryDirectory() as tmp:
+            path = f"{tmp}/cfg.yaml"
+            save_config(config_from_dict(FUZZ_BASE), path)
+            argv = ["run", path, "--out-dir", f"{tmp}/out"]
+            for item in items:
+                argv += ["--override", item]
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(err):
+                code = main(argv)
+        if rejected:
+            assert code == EXIT_CONFIG, (items, err.getvalue())
+        else:
+            # a config validate accepts never fails as a config error later
+            assert code in (EXIT_OK, EXIT_RUNTIME), (items, err.getvalue())

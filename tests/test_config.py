@@ -11,6 +11,7 @@ from fedsim.config import (
     config_from_dict,
     load_config,
     save_config,
+    set_path,
     validate_config,
 )
 from fedsim.defenses import DefenseConfig
@@ -162,6 +163,31 @@ class TestValidate:
         cfg = tiny_config(defense=DefenseSpec(
             kind="foolsgold", foolsgold=DefenseConfig(kappa=0.0)))
         assert any("kappa" in p for p in validate_config(cfg))
+
+    @pytest.mark.parametrize("settings,field", [
+        ({"dataset.num_classes": 5}, "examples_per_class length"),
+        ({"dataset.examples_per_class.0": 0}, "examples_per_class"),
+        ({"dataset.num_features": 0}, "num_features"),
+        ({"dataset.dead_features": -1}, "dead_features"),
+        ({"dataset.dead_features": 40}, "dead_features"),
+        ({"dataset.test_fraction": 1e-9}, "test_fraction"),
+        ({"dataset.test_fraction": 1.0}, "test_fraction"),
+        ({"dataset.centroid_sparsity": 1.5}, "centroid_sparsity"),
+        ({"dataset.noise_scale": -0.1}, "noise_scale"),
+        ({"seed": -1}, "seed"),
+        ({"dataset.seed": -1}, "seed"),
+        ({"attacks.0.target": 4}, "class range"),
+        ({"attacks.0.trigger": 41}, "trigger"),
+        # the MNIST kinds have 10 classes whatever dataset.num_classes says
+        ({"dataset.kind": "mnist_like", "dataset.num_classes": 40,
+          "attacks.0.target": 35}, "class range"),
+    ])
+    def test_unrunnable_value_rejected_before_run(self, settings, field):
+        data = tiny_config(attacks=[tiny_attack(type="backdoor")]).to_dict()
+        assert validate_config(config_from_dict(data)) == []
+        for key, value in settings.items():
+            set_path(data, key, value)
+        assert any(field in p for p in validate_config(config_from_dict(data)))
 
     def test_multiple_problems_all_listed(self):
         cfg = tiny_config(

@@ -7,6 +7,7 @@ import pytest
 
 from fedsim.defenses import (
     LOGIT_EPS,
+    RONI_BLOCK_ROWS,
     DefenseConfig,
     FoolsGold,
     RoniDefense,
@@ -20,7 +21,7 @@ from fedsim.defenses import (
     row_norms,
     similarity_matrix,
 )
-from fedsim.errors import ConfigurationError
+from fedsim.errors import ConfigurationError, DivergenceError
 
 from oracles import multikrum_scores_dense, weighted_cosine
 
@@ -588,28 +589,47 @@ class TestRoni:
         roni.aggregate(np.stack([np.zeros((2, 4)), bad]), w)
         assert roni.cumulative[1] <= first[1]
 
-    @pytest.mark.parametrize("case", ["tied_logits", "zero_model", "one_candidate"])
+    @pytest.mark.parametrize("case", ["tied_logits", "zero_model", "one_candidate",
+                                      "block_edges"])
     def test_cumulative_matches_per_candidate_accuracy(self, case):
-        # The stacked scorer must equal, exactly, one accuracy call per
-        # candidate against the shared "before" model, summed over rounds.
+        # The blocked float32 scorer must equal, exactly, one accuracy call
+        # per candidate against the shared "before" model on float32-cast
+        # operands, summed over rounds.
         from fedsim.metrics import accuracy
         rng = np.random.default_rng(7)
         n = 1 if case == "one_candidate" else 6
-        X = rng.normal(size=(300, 5))
+        rows = 2 * RONI_BLOCK_ROWS + 17 if case == "block_edges" else 300
+        X = rng.normal(size=(rows, 5))
         if case == "tied_logits":
-            X = rng.integers(-1, 2, size=(300, 5)).astype(float)
-        y = rng.integers(0, 3, size=300)
+            X = rng.integers(-1, 2, size=(rows, 5)).astype(float)
+        y = rng.integers(0, 3, size=rows)
         w = np.zeros((3, 5))
         if case != "zero_model":
             w = rng.integers(-1, 2, size=(3, 5)).astype(float)
         roni = RoniDefense(X, y)
+        X32 = X.astype(np.float32)
+
+        def acc32(model):
+            return accuracy(model.astype(np.float32), X32, y)
+
         want = np.zeros(n)
         for _ in range(2):
             updates = rng.integers(-1, 2, size=(n, 3, 5)).astype(float)
-            before = accuracy(w, X, y)
-            want += np.array([accuracy(w + u, X, y) - before for u in updates])
+            before = acc32(w)
+            want += np.array([acc32(w + u) - before for u in updates])
             w, _ = roni.aggregate(updates, w)
         assert np.array_equal(roni.cumulative, want)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("entries,value", [(2, -1e39), (np.s_[:], 3e38)],
+                             ids=["cast", "logits"])
+    def test_candidate_beyond_float32_range(self, entries, value):
+        # -1e39 casts to -inf; a row of 3e38 casts, but its logits overflow.
+        roni = RoniDefense(self.X, self.y)
+        updates = np.zeros((3, 2, 4))
+        updates[1, 0, entries] = value
+        with pytest.raises(DivergenceError, match="RONI scoring: client 1"):
+            roni.aggregate(updates, np.zeros((2, 4)))
 
     def test_empty_validation_set(self):
         roni = RoniDefense(np.zeros((0, 4)), np.zeros(0, dtype=int))

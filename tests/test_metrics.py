@@ -18,9 +18,8 @@ from fedsim.metrics import (
     predictions,
 )
 from fedsim.errors import MetricError
-from fedsim.model import predict
 
-from oracles import export_history_matrix
+from oracles import export_history_matrix, predict
 
 
 def make_result(rng, rounds=3, clients=2):

@@ -6,13 +6,12 @@ import pytest
 from fedsim.errors import ConfigurationError, InvalidArgumentError
 from fedsim.model import (
     gradient,
-    predict,
     sgd_step,
     softmax_forward,
     zeros_like_model,
 )
 
-from oracles import regularized_loss
+from oracles import predict, regularized_loss
 
 
 def finite_difference_gradient(params, X, y, lam, h=1e-6):
